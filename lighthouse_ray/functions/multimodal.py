@@ -97,6 +97,8 @@ def decode_bmp(payload: bytes) -> tuple[int, int, int]:
 def decode_gif(payload: bytes) -> tuple[int, int, int]:
     if payload[:6] not in (b"GIF87a", b"GIF89a"):
         raise ValueError("not a GIF")
+    if len(payload) < 13:
+        raise ValueError("truncated GIF logical screen descriptor")
     w, h = struct.unpack("<HH", payload[6:10])
     return int(w), int(h), 1  # palette-indexed
 
@@ -584,6 +586,8 @@ def _lzw_decode(min_code_size: int, data: bytes, expected: int) -> np.ndarray:
                         f"GIF frame decoded {len(out)} px, expected {expected}")
                 return np.frombuffer(bytes(out), dtype=np.uint8)
             if prev is None:
+                if code >= len(table):
+                    raise ValueError(f"bad LZW code {code}")
                 entry = table[code]
             elif code < len(table):
                 entry = table[code]
@@ -662,13 +666,28 @@ def _lzw_encode(min_code_size: int, pixels: np.ndarray) -> bytes:
     return bytes(out)
 
 
+def _gif_sub_blocks(payload: bytes, pos: int) -> tuple[bytes, int]:
+    """The data of the sub-block chain at ``pos`` and the position after
+    its terminator; ValueError if the chain runs past the payload."""
+    data = bytearray()
+    while True:
+        if pos >= len(payload):
+            raise ValueError("truncated GIF sub-block chain")
+        n = payload[pos]
+        if n == 0:
+            return bytes(data), pos + 1
+        if pos + 1 + n > len(payload):
+            raise ValueError("truncated GIF sub-block")
+        data += payload[pos + 1 : pos + 1 + n]
+        pos += 1 + n
+
+
 def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
     """Decode EVERY frame of a (possibly animated) GIF to (h, w) uint8
     palette-index arrays — a true pixel decode via the LZW codec above.
-    Interlaced frames are rejected (the synthesizer never emits them)."""
-    if payload[:6] not in (b"GIF87a", b"GIF89a"):
-        raise ValueError("not a GIF")
-    gw, gh = struct.unpack("<HH", payload[6:10])
+    Interlaced frames are rejected (the synthesizer never emits them).
+    Malformed or truncated input raises ValueError."""
+    decode_gif(payload)  # signature + logical screen descriptor
     flags = payload[10]
     pos = 13
     if flags & 0x80:
@@ -679,11 +698,10 @@ def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
         if b0 == 0x3B:  # trailer
             break
         if b0 == 0x21:  # extension: label + sub-blocks
-            pos += 2
-            while payload[pos]:
-                pos += 1 + payload[pos]
-            pos += 1
+            _data, pos = _gif_sub_blocks(payload, pos + 2)
         elif b0 == 0x2C:  # image descriptor
+            if pos + 10 > len(payload):
+                raise ValueError("truncated GIF image descriptor")
             _l, _t, fw, fh = struct.unpack("<HHHH", payload[pos + 1 : pos + 9])
             iflags = payload[pos + 9]
             pos += 10
@@ -691,21 +709,18 @@ def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
                 raise ValueError("interlaced GIF not supported")
             if iflags & 0x80:
                 pos += 3 * (2 << (iflags & 7))  # local color table
+            if pos >= len(payload):
+                raise ValueError("truncated GIF image data")
             mcs = payload[pos]
-            pos += 1
-            data = bytearray()
-            while payload[pos]:
-                n = payload[pos]
-                data += payload[pos + 1 : pos + 1 + n]
-                pos += 1 + n
-            pos += 1
-            px = _lzw_decode(mcs, bytes(data), fw * fh)
+            if not 1 <= mcs <= 8:
+                raise ValueError(f"bad GIF LZW minimum code size {mcs}")
+            data, pos = _gif_sub_blocks(payload, pos + 1)
+            px = _lzw_decode(mcs, data, fw * fh)
             frames.append(px.reshape(fh, fw))
         else:
             raise ValueError(f"unknown GIF block 0x{b0:02x}")
     if not frames:
         raise ValueError("GIF has no image frames")
-    del gw, gh
     return frames
 
 

@@ -35,6 +35,7 @@ import pandas as pd
 
 from ..analysis import tokenize_text
 from ..index import IndexReader
+from ..index.suggest import WeightedCompleter
 from .scoring import DenseResult, Scorer
 
 QUOTED_RE = re.compile(r'"([^"]*)"$')
@@ -46,6 +47,7 @@ EFFECTIVE_FACTOR = 19.0  # func_score.go:9
 
 DAY = 86400.0
 
+DERIVED_COLUMNS = ("claimId", "thumbnail_url", "channel", "title", "duration")
 RESOLVE_COLUMNS = [
     "channel", "channel_claim_id", "title", "thumbnail_url", "release_time",
     "fee", "nsfw", "duration",
@@ -104,6 +106,10 @@ class SearchEngine:
         self.mlt_min_doc_freq = mlt_min_doc_freq
         self.mlt_max_terms = mlt_max_terms
         self._meta = reader.docmeta()
+        # per-column arrays for hit projection; derived claim fields
+        # (see _hit_column) follow the docmeta columns
+        self._cols = {c: self._meta[c].to_numpy() for c in self._meta.columns}
+        self._hit_columns = [*self._cols, *DERIVED_COLUMNS]
         self._decay_cache: np.ndarray | None = None
         self._boost_cache: np.ndarray | None = None
         self._bid_mask_cache: np.ndarray | None = None
@@ -115,6 +121,7 @@ class SearchEngine:
         self._use_cache = cache_ttl > 0
         self._cache = _TTLCache(ttl=cache_ttl or 1.0)
         self._ac_cache = _TTLCache(ttl=cache_ttl or 1.0)
+        self._completers: dict[str, WeightedCompleter] = {}
 
     # ------------------------------------------------------------------ search
 
@@ -456,30 +463,45 @@ class SearchEngine:
     # -- projection (search.go:79-91) --------------------------------------------
 
     def _project(self, ords: np.ndarray, scores: np.ndarray, include, resolve, source, debug) -> pd.DataFrame:
-        meta = self._meta
-        rows = meta.iloc[ords].copy()
-        rows["claimId"] = rows["doc_id"]
-        rows["thumbnail_url"] = np.where(
-            rows["has_thumbnail"], "https://thumbs/" + rows["doc_id"].str[:8] + ".png", ""
-        )
-        rows["channel"] = rows["repo"]
-        rows["title"] = rows["path"]
-        rows["duration"] = 0
         cols = ["name", "claimId"]
         if include:
             cols += [c for c in include.split(",") if c]
         if resolve:
             cols += [c for c in RESOLVE_COLUMNS if c not in cols]
         if source:
-            cols = [c for c in rows.columns if c != "content"]
-        missing = [c for c in cols if c not in rows.columns]
+            cols = [c for c in self._hit_columns if c != "content"]
+        missing = [c for c in cols if c not in self._hit_columns]
         if missing:
             raise SearchError(f"unknown include fields {missing}")
-        out = rows[cols].reset_index(drop=True)
+        # gather only the requested columns, by position so a column
+        # named twice (include=claimId,name) stays two columns
+        out = pd.DataFrame(
+            {i: self._hit_column(c, ords) for i, c in enumerate(cols)}, copy=False
+        )
+        out.columns = cols
         out["score"] = scores[ords]
         if debug:
             out["ordinal"] = ords
         return out
+
+    def _hit_column(self, name: str, ords: np.ndarray) -> np.ndarray:
+        """One projected hit column for the page ``ords``: a docmeta
+        column or one of the derived claim fields (search.go:79-91)."""
+        col = self._cols
+        if name == "claimId":
+            return col["doc_id"][ords]
+        if name == "thumbnail_url":
+            url = np.full(len(ords), "", dtype=object)
+            has = col["has_thumbnail"][ords]
+            url[has] = ["https://thumbs/" + d[:8] + ".png" for d in col["doc_id"][ords[has]]]
+            return url
+        if name == "channel":
+            return col["repo"][ords]
+        if name == "title":
+            return col["path"][ords]
+        if name == "duration":
+            return np.zeros(len(ords), dtype=np.int64)
+        return col[name][ords]
 
     # ------------------------------------------------------------ status
 
@@ -525,31 +547,20 @@ class SearchEngine:
         queries them upstream — so the semantics here are the documented
         minimal ES behavior: case-folded prefix match over the field's
         values, top-``size`` options deduplicated, ranked by frequency
-        (weight analog) then value.  Served from a sorted in-memory
-        value array (the FST stand-in), built lazily once per engine."""
+        (weight analog) then value.  Served from a
+        :class:`WeightedCompleter` over the field's case-folded unique
+        values and their counts, built lazily once per field."""
         if not s:
             raise SearchError("s is required")
         col = self.SUGGEST_FIELDS.get(field)
         if col is None:
             raise SearchError(f"unknown suggest field {field!r} (name|desc)")
-        key = f"__suggest_{col}"
-        packed = getattr(self, key, None)
-        if packed is None:
-            vals = self._meta[col].to_numpy()
-            low = np.char.lower(vals.astype(str))
-            uniq, counts = np.unique(low, return_counts=True)
-            packed = (uniq, counts)
-            setattr(self, key, packed)
-        uniq, counts = packed
-        q = s.lower()
-        lo = np.searchsorted(uniq, q, side="left")
-        hi = np.searchsorted(uniq, q[:-1] + chr(ord(q[-1]) + 1), side="left") if q else len(uniq)
-        if hi <= lo:
-            return []
-        c = counts[lo:hi]
-        u = uniq[lo:hi]
-        order = np.lexsort((u, -c))[:size]
-        return [str(x) for x in u[order]]
+        completer = self._completers.get(col)
+        if completer is None:
+            low = np.char.lower(self._meta[col].to_numpy().astype(str))
+            completer = WeightedCompleter(*np.unique(low, return_counts=True))
+            self._completers[col] = completer
+        return [value for value, _count in completer.complete(s.lower(), size)]
 
     # ------------------------------------------------------------ autocomplete
 

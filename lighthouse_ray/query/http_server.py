@@ -138,25 +138,27 @@ def _search_kwargs(q: dict) -> dict:
 def make_handler(service, metrics: Metrics):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
         def _send(self, status: int, body):
-            data = json.dumps(body, indent=2, default=str).encode()
-            self.send_response(status)
-            for k, v in RESPONSE_HEADERS.items():
-                self.send_header(k, v)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            self._reply(status, json.dumps(body, indent=2, default=str).encode(),
+                        RESPONSE_HEADERS)
+
+        def _reply(self, status: int, data: bytes, headers: dict):
+            """Write status line, headers and body with ONE send: a
+            separate body write would sit behind the client's delayed
+            ACK of the header segment (~40 ms per keep-alive request)."""
+            head = [f"{self.protocol_version} {status} {self.responses[status][0]}",
+                    f"Date: {self.date_time_string()}"]
+            head += [f"{k}: {v}" for k, v in headers.items()]
+            head.append(f"Content-Length: {len(data)}")
+            self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + data)
 
         def do_OPTIONS(self):
-            self.send_response(204)
-            for k, v in RESPONSE_HEADERS.items():
-                self.send_header(k, v)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._reply(204, b"", RESPONSE_HEADERS)
 
         def do_POST(self):
             """POST /msearch — the ES ``_msearch`` bulk endpoint: NDJSON
@@ -172,8 +174,13 @@ def make_handler(service, metrics: Metrics):
                     error = True
                     self._send(404, {"error": "404 Not Found"})
                     return
-                n = int(self.headers.get("Content-Length", 0))
-                body = self.rfile.read(n).decode("utf-8", "replace")
+                length = self.headers.get("Content-Length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    # the body's extent is unknown: answer, then drop the
+                    # connection rather than parse the body as a request
+                    self.close_connection = True
+                    raise SearchError(f"invalid Content-Length {length!r}")
+                body = self.rfile.read(int(length)).decode("utf-8", "replace")
                 reqs = []
                 for line in body.splitlines():
                     line = line.strip()
@@ -241,13 +248,8 @@ def make_handler(service, metrics: Metrics):
                 elif path == "/status":
                     self._send(200, service.status())
                 elif path == "/metrics":
-                    data = metrics.render().encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain; version=0.0.4")
-                    self.send_header("Content-Length", str(len(data)))
-                    self.end_headers()
-                    self.wfile.write(data)
-                    return
+                    self._reply(200, metrics.render().encode(),
+                                {"Content-Type": "text/plain; version=0.0.4"})
                 else:
                     error = True
                     self._send(404, {"error": "404 Not Found"})  # default.go:15

@@ -418,6 +418,39 @@ class Oracle:
         return out
 
 
+def project_reference(meta, ords, scores, include, resolve, source, debug):
+    """The pandas hit projection ``SearchEngine._project`` replaced:
+    copy every docmeta column for the page, derive all claim fields,
+    then keep the requested ones (search.go:79-91)."""
+    import numpy as np
+
+    from lighthouse_ray.query.engine import RESOLVE_COLUMNS, SearchError
+
+    rows = meta.iloc[ords].copy()
+    rows["claimId"] = rows["doc_id"]
+    rows["thumbnail_url"] = np.where(
+        rows["has_thumbnail"], "https://thumbs/" + rows["doc_id"].str[:8] + ".png", ""
+    )
+    rows["channel"] = rows["repo"]
+    rows["title"] = rows["path"]
+    rows["duration"] = 0
+    cols = ["name", "claimId"]
+    if include:
+        cols += [c for c in include.split(",") if c]
+    if resolve:
+        cols += [c for c in RESOLVE_COLUMNS if c not in cols]
+    if source:
+        cols = [c for c in rows.columns if c != "content"]
+    missing = [c for c in cols if c not in rows.columns]
+    if missing:
+        raise SearchError(f"unknown include fields {missing}")
+    out = rows[cols].reset_index(drop=True)
+    out["score"] = scores[ords]
+    if debug:
+        out["ordinal"] = ords
+    return out
+
+
 def _edit_distance(a, b):
     la, lb = len(a), len(b)
     prev = list(range(lb + 1))

@@ -13,7 +13,7 @@ import pytest
 from lighthouse_ray.config import IndexConfig
 from lighthouse_ray.corpus import GOLDEN_PHRASE, gen_corpus
 
-from .oracle import Oracle
+from .oracle import Oracle, project_reference
 
 N_DOCS = 350
 CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_mod=10)
@@ -180,3 +180,60 @@ def test_unknown_include_field_errors(engine):
 
     with pytest.raises(SearchError):
         engine.search(s="merge segment", include="no_such_field")
+
+
+PROJECTIONS = [
+    dict(),
+    dict(include="claimId,name"),                      # duplicate columns
+    dict(include="thumbnail_url,duration,title,channel,fee,,nsfw"),  # derived
+    dict(include="title", resolve=True),
+    dict(include="ordinal,ordinal", debug=True),       # duplicate of the debug column
+    dict(source=True),
+    dict(include="bogus", source=True),                # source ignores include
+    dict(resolve=True, source=True, debug=True),
+    dict(include="nope,claimId,bogus"),                # unknown fields
+    dict(include="channel_id", resolve=True),
+]
+
+
+@pytest.mark.filterwarnings("ignore:DataFrame columns are not unique")
+def test_project_matches_pandas_reference(engine):
+    """The per-column numpy hit projection against the pandas
+    projection it replaced: same JSON bytes, columns, dtypes and index
+    over random pages (empty pages too), same error text."""
+    import json
+
+    from lighthouse_ray.query import SearchError
+
+    meta = engine._meta
+    n = len(meta)
+    rng = np.random.default_rng(7)
+    scores = rng.random(n)
+
+    def run(fn, ords, kw):
+        try:
+            return fn(ords, kw)
+        except SearchError as e:
+            return f"SearchError: {e}"
+
+    def new(ords, kw):
+        return engine._project(ords, scores, kw.get("include"), kw.get("resolve", False),
+                               kw.get("source", False), kw.get("debug", False))
+
+    def ref(ords, kw):
+        return project_reference(meta, ords, scores, kw.get("include"),
+                                 kw.get("resolve", False), kw.get("source", False),
+                                 kw.get("debug", False))
+
+    for k in (0, 1, 3, 10, 40):
+        for kw in PROJECTIONS:
+            ords = np.flatnonzero(np.zeros(n)) if k == 0 else rng.choice(n, k, replace=False)
+            got, want = run(new, ords, kw), run(ref, ords, kw)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert list(got.columns) == list(want.columns), kw
+            assert list(got.dtypes) == list(want.dtypes), kw
+            assert got.index.equals(want.index)
+            assert json.dumps(got.to_dict(orient="records"), indent=2, default=str) == \
+                json.dumps(want.to_dict(orient="records"), indent=2, default=str), (kw, k)

@@ -1,7 +1,10 @@
 """HTTP front-end e2e: the reference's smoke shape (app/test/test.go:18-35)
 plus routes/headers/metrics (app/app.go:66-117, actions/routes.go:36-46)."""
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -155,3 +158,61 @@ def test_post_unknown_path_and_bad_json(server):
     with pytest.raises(urllib.error.HTTPError) as ei:
         urllib.request.urlopen(req, timeout=30)
     assert ei.value.code == 400
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+def test_msearch_invalid_content_length_is_400(server, length):
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.putrequest("POST", "/msearch")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b'{"s": "import"}\n')
+        r = conn.getresponse()
+        assert r.status == 400
+        assert "Content-Length" in json.loads(r.read())["error"]
+    finally:
+        conn.close()
+
+
+def test_keepalive_requests_single_send_no_stall(server, monkeypatch):
+    """Back-to-back requests on one keep-alive connection must not wait
+    for the client's delayed ACK (~40 ms each when a response goes out
+    as a header write plus a body write on a Nagle socket): every
+    response is one write, and the median round trip stays far below
+    the stall."""
+    handler = server._httpd.RequestHandlerClass
+    writes: list[int] = []
+    setup = handler.setup
+
+    class CountingWriter:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def write(self, b):
+            writes.append(len(b))
+            return self._inner.write(b)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    def counting_setup(self):
+        setup(self)
+        self.wfile = CountingWriter(self.wfile)
+
+    monkeypatch.setattr(handler, "setup", counting_setup)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        for path in ("/", "/search?s=merge+segment&size=3"):
+            walls = []
+            for _ in range(30):
+                writes.clear()
+                t0 = time.perf_counter()
+                conn.request("GET", path)
+                r = conn.getresponse()
+                body = r.read()
+                walls.append(time.perf_counter() - t0)
+                assert r.status == 200 and body
+                assert len(writes) == 1, (path, writes)
+            assert statistics.median(walls) < 0.010, (path, sorted(walls))
+    finally:
+        conn.close()

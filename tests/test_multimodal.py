@@ -218,10 +218,12 @@ def test_decoders_fuzz_raise_only_expected_types():
     import zlib as _z
 
     from lighthouse_ray.functions.multimodal import (
+        decode_gif_frames,
         decode_image,
         decode_mp4,
         decode_wav,
         synth_bmp,
+        synth_gif_animation,
         synth_mp4,
         synth_png,
         synth_wav,
@@ -246,6 +248,21 @@ def test_decoders_fuzz_raise_only_expected_types():
             try:
                 fn(payload)
             except allowed:
+                pass
+
+    # GIF: every truncation and a spread of byte corruptions of a valid
+    # animation (extension, descriptor and image-data sub-blocks) raise
+    # only the documented ValueError
+    gif = synth_gif_animation(6, 5, 3, seed=4)
+    gifs = [gif[:cut] for cut in range(len(gif))] + [b"GIF89a" + bytes(7)]
+    for i in range(6, len(gif)):
+        for v in (0x00, 0x01, 0xFF, gif[i] ^ 0x55):
+            gifs.append(gif[:i] + bytes([v]) + gif[i + 1:])
+    for payload in gifs:
+        for fn in (decode_image, decode_gif_frames):
+            try:
+                fn(payload)
+            except ValueError:
                 pass
 
 

@@ -152,6 +152,40 @@ def test_completion_suggest(built):
         e.suggest(s=None)
 
 
+def _suggest_lexsort(uniq, counts, q, size):
+    """The per-request scan ``SearchEngine.suggest`` used before the
+    weighted completer: lexsort the whole prefix range."""
+    import numpy as np
+
+    lo = np.searchsorted(uniq, q, side="left")
+    hi = np.searchsorted(uniq, q[:-1] + chr(ord(q[-1]) + 1), side="left")
+    if hi <= lo:
+        return []
+    u, c = uniq[lo:hi], counts[lo:hi]
+    return [str(x) for x in u[np.lexsort((u, -c))[:size]]]
+
+
+def test_suggest_matches_prefix_scan_random_prefixes(built):
+    import random
+
+    import numpy as np
+
+    _idx, e = built
+    rng = random.Random(11)
+    for field, col in e.SUGGEST_FIELDS.items():
+        low = np.char.lower(e._meta[col].to_numpy().astype(str))
+        uniq, counts = np.unique(low, return_counts=True)
+        prefixes = ["".join(rng.choice("abcdefgimorst_./") for _ in range(rng.randint(1, 4)))
+                    for _ in range(100)]
+        for v in rng.sample(list(uniq), 100):
+            p = v[: rng.randint(1, len(v))]
+            prefixes.append(p.upper() if rng.random() < 0.2 else p)
+        for p in prefixes:
+            size = rng.choice([1, 3, 5, 20])
+            assert e.suggest(s=p, field=field, size=size) == \
+                _suggest_lexsort(uniq, counts, p.lower(), size), (field, p, size)
+
+
 def test_msearch_service_and_engine(built, ray_session):
     """ES _msearch analog: the serving fan-out returns the same
     per-item results as sequential engine.search, with per-item error
