@@ -185,6 +185,9 @@ def run_bench() -> dict:
         "queries": results,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
+        # CPUs this process may actually run on; Ray is started with
+        # num_cpus whatever the affinity allows
+        "cpus_available": len(os.sched_getaffinity(0)),
         "corpus_docs": int(res.n_docs),
         "docs_per_sec": round(docs_per_sec, 1),
         "n_postings": int(res.n_postings),
@@ -317,6 +320,7 @@ def run_scaling() -> dict:
         "value": round(eff, 3),
         "unit": "ratio",
         "cpus": [lo_n, hi_n],
+        "cpus_available": len(os.sched_getaffinity(0)),
         f"sec_{lo_n}": lo["value"],
         f"sec_{hi_n}": hi["value"],
         f"docs_per_sec_{lo_n}": lo["docs_per_sec"],

@@ -19,9 +19,7 @@ killed build resumes from its last completed unit (fixture x02):
                  merged in the same exchange as the postings
   D. segments  — one merge task per shard group → compressed block-max
                  segment parquet per shard (skips shards already in the
-                 manifest); no all-to-all shuffle anywhere — the
-                 classic groupby(shard) path stays behind
-                 cfg.extra={"exchange": "groupby"}, conformance-tested
+                 manifest); no all-to-all shuffle anywhere
 
 The caller owns the Ray session; this module never calls ray.init.
 """
@@ -44,8 +42,8 @@ import ray.data as rd
 from ..analysis import flat_tokens
 from ..config import FIELDS, IndexConfig
 from ..util import atomic_write_json, limit_worker_threads, read_json
-from .docs import derive_batch, make_finalize_part, part_offsets
-from .postings import make_merge_shard
+from .docs import derive_batch, part_offsets
+from .postings import make_merge_group, tokenize_file_task
 
 
 @dataclass
@@ -296,8 +294,6 @@ def build_index(
     postings_dir = os.path.join(index_dir, "postings")
     if "postings" not in stages:
         t0 = time.time()
-        import ray as _ray
-
         # per-FILE resume: completed payload files are recorded in an
         # APPEND-ONLY progress log (one JSON line per finished file) as
         # their spill rows arrive; a killed build re-runs only the
@@ -308,16 +304,13 @@ def build_index(
         # 878k docs (and far worse at cluster scale).
         progress_path = os.path.join(index_dir, "postings_progress.jsonl")
         progress: dict = {}
-        if resume:
-            # legacy manifests carried the progress inline
-            progress.update(manifest.get("postings_progress", {}))
-            if os.path.exists(progress_path):
-                with open(progress_path) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            e = json.loads(line)
-                            progress[e.pop("src")] = e  # last-wins per file
+        if resume and os.path.exists(progress_path):
+            with open(progress_path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if line:
+                        e = json.loads(line)
+                        progress[e.pop("src")] = e  # last-wins per file
         if not progress:
             shutil.rmtree(postings_dir, ignore_errors=True)
             if os.path.exists(progress_path):
@@ -334,31 +327,18 @@ def build_index(
                 "cfg_json": cfg.to_json(),
                 "spill_dir": postings_dir,
             }
-            from .postings import TokenizerFileStage, tokenize_file_task
-
-            items = rd.from_items([{"file": f} for f in todo], override_num_blocks=len(todo))
-            if cfg.tokenize_actor_pool:
-                concurrency = cfg.tokenize_concurrency or (
-                    1,
-                    max(2, int(_ray.cluster_resources().get("CPU", 4)) - 1),
-                )
-                mapped = items.map_batches(
-                    TokenizerFileStage,
-                    fn_constructor_kwargs=stage_kwargs,
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    concurrency=concurrency,
-                )
-            else:
-                # default: plain tasks on prewarmed workers, stage state
-                # memoized per worker — full width instantly, no pool ramp
-                mapped = items.map_batches(
+            # plain tasks on prewarmed workers, stage state memoized per
+            # worker — full width instantly, no pool ramp
+            stream = (
+                rd.from_items([{"file": f} for f in todo], override_num_blocks=len(todo))
+                .map_batches(
                     tokenize_file_task,
                     fn_kwargs=stage_kwargs,
                     batch_format="pyarrow",
                     batch_size=None,
                 )
-            stream = mapped.iter_batches(batch_size=None, batch_format="pyarrow")
+                .iter_batches(batch_size=None, batch_format="pyarrow")
+            )
             pending = 0
             log_fh = open(progress_path, "a")
             try:
@@ -410,7 +390,6 @@ def build_index(
             "bytes": int(sum(e["bytes"] for e in progress.values())),
             "digest": per_file_digest,
         }
-        manifest.pop("postings_progress", None)
         atomic_write_json(_manifest_path(index_dir), manifest)
         if os.path.exists(progress_path):
             os.unlink(progress_path)  # folded into the stage record above
@@ -419,63 +398,35 @@ def build_index(
     seg_done: dict = stages.get("segments", {}).get("shards", {})
     t0 = time.time()
     done_ids = {int(k) for k in seg_done}
-    import ray as _ray1
-
-    n_cpus = int(_ray1.cluster_resources().get("CPU", 4))
-    if cfg.extra.get("exchange") == "groupby":
-        # classic path: object-store sort shuffle over the spill files
-        # (they are hive-partitioned by grp; the extra column is ignored)
-        post_bytes = sum(
-            os.path.getsize(os.path.join(r, f))
-            for r, _d, fs in os.walk(postings_dir)
-            for f in fs
-        )
-        nb = max(n_cpus, (post_bytes >> 28) + 1)
-        post = rd.read_parquet(postings_dir, override_num_blocks=nb).drop_columns(["grp"])
-        if done_ids:
-            post = post.map_batches(
-                lambda b: b.filter(
-                    pa.array(~np.isin(b["shard"].to_numpy(zero_copy_only=False), list(done_ids)))
-                ),
-                batch_format="pyarrow",
+    # one merge task per shard group reading its own spill files — an
+    # explicit disk-partitioned exchange, no all-to-all
+    if not os.path.isdir(postings_dir):
+        # a build whose live doc set is EMPTY (e.g. a delta batch that
+        # contains only delete-routed rows — a normal sync batch shape)
+        # legitimately spills nothing; only a non-empty recorded
+        # postings stage with a missing spill dir means lost state
+        if int(stages.get("postings", {}).get("rows", 0)) > 0:
+            raise RuntimeError(
+                "segments stage incomplete but the postings spill directory is "
+                "missing — it is only removed after a fully-recorded build "
+                "(cfg.cleanup_spills); rebuild without resume"
             )
-        seg_rows = (
-            post.groupby("shard")
-            .map_groups(make_merge_shard(index_dir, cfg), batch_format="pyarrow")
-            .take_all()
-        )
+        groups = []
     else:
-        # default: one merge task per shard group reading its own spill
-        # files — an explicit disk-partitioned exchange, no all-to-all
-        from .postings import make_merge_group
-
-        if not os.path.isdir(postings_dir):
-            # a build whose live doc set is EMPTY (e.g. a delta batch that
-            # contains only delete-routed rows — a normal sync batch shape)
-            # legitimately spills nothing; only a non-empty recorded
-            # postings stage with a missing spill dir means lost state
-            if int(stages.get("postings", {}).get("rows", 0)) > 0:
-                raise RuntimeError(
-                    "segments stage incomplete but the postings spill directory is "
-                    "missing — it is only removed after a fully-recorded build "
-                    "(cfg.cleanup_spills); rebuild without resume"
-                )
-            groups = []
-        else:
-            groups = sorted(
-                int(d.split("=", 1)[1])
-                for d in os.listdir(postings_dir)
-                if d.startswith("grp=")
-            )
-        seg_rows = (
-            rd.from_items([{"grp": g} for g in groups], override_num_blocks=max(len(groups), 1))
-            .map_batches(
-                make_merge_group(index_dir, cfg, postings_dir, done_ids),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            .take_all()
+        groups = sorted(
+            int(d.split("=", 1)[1])
+            for d in os.listdir(postings_dir)
+            if d.startswith("grp=")
         )
+    seg_rows = (
+        rd.from_items([{"grp": g} for g in groups], override_num_blocks=max(len(groups), 1))
+        .map_batches(
+            make_merge_group(index_dir, cfg, postings_dir, done_ids),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+        .take_all()
+    )
     for r in seg_rows:
         seg_done[str(int(r["shard"]))] = {
             "n_terms": int(r["n_terms"]),

@@ -2,12 +2,12 @@
 
 Stage B (SPIMI analog of the reference's ES bulk indexing,
 app/jobs/chainquery/chainquery.go:94 + ES-internal analysis): a
-stateful tokenize stage (per-worker memoized state on plain tasks by
-default; actor pool optional) turns each payload file into flat posting
-rows ``(field, term, ordinal, tf, pos_blob, shard)`` and spills them
-map-side into one content-addressed zstd-1 parquet per shard GROUP
-(``grp = shard mod cfg.shard_groups``) — the explicit, disk-partitioned
-half of the exchange.  Every per-batch step is vectorized (pyarrow RE2
+stateful tokenize stage (per-worker memoized state on plain tasks) turns
+each payload file into flat posting rows
+``(field, term, ordinal, tf, pos_blob, shard)`` and spills them map-side
+into one content-addressed zstd-1 parquet per shard GROUP (``grp = shard
+mod cfg.shard_groups``) — the explicit, disk-partitioned half of the
+exchange.  Every per-batch step is vectorized (pyarrow RE2
 kernels + numpy); positions are delta+varbyte encoded per (doc, term)
 already at this stage, so the merge just concatenates blobs.  The unit
 of work and of RESUME is one payload file (spill rows stream back to
@@ -24,10 +24,7 @@ spill files, slices them into per-shard runs, sorts each shard by
 run-length-groups rows into per-term posting lists, delta+varbyte-
 compresses ordinals/tfs, builds block-max metadata (last ordinal + max
 tf per 128-posting block), and writes one atomic parquet segment per
-shard.  No all-to-all shuffle exists in the build; the classic
-``groupby('shard').map_groups(merge_shard)`` path is kept under
-``cfg.extra={"exchange": "groupby"}`` and conformance-tested to emit
-byte-identical segments.
+shard.  No all-to-all shuffle exists in the build.
 
 Hot-term skew (SURVEY.md §4): terms whose sampled df exceeds
 ``hot_df_ratio * N`` are salted — their postings are split by ordinal
@@ -73,8 +70,8 @@ POSTINGS_SCHEMA = pa.schema(
 
 class TokenizerStage:
     """Tokenize stage state: part offsets, hot set, salt memos — built
-    once per worker (task path memoizes via ``_TASK_STAGE``; actor path
-    builds in ``__init__``), per-file work in ``tokenize_file_task``.
+    once per worker (memoized in ``_TASK_STAGE``), per-file work in
+    ``tokenize_file_task``.
 
     Consumes payload files in their own order (content never shuffled).
     Ordinal state is NOT broadcast: each task reads only its own payload
@@ -84,7 +81,7 @@ class TokenizerStage:
     array (``num_doc_parts`` int64s) and the hot-term list — both O(1)
     in corpus size."""
 
-    def __init__(self, offsets, ordmap_dir: str, hot_terms: list[str], cfg_json: dict, spill_dir: str | None = None):
+    def __init__(self, offsets, ordmap_dir: str, hot_terms: list[str], cfg_json: dict, spill_dir: str):
         limit_worker_threads()
         self.cfg = IndexConfig.from_json(cfg_json)
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -296,13 +293,11 @@ class TokenizerStage:
         return pa.concat_tables(outs) if outs else None
 
 
-# Worker-global stage memo for the task-based tokenize path: Ray Data
-# tasks run on prewarmed worker processes, so building the stage once
-# per worker (keyed by the ordmap/spill dirs) gives actor-pool state
-# semantics with zero pool-ramp cost.  The actor-pool path
-# (cfg.tokenize_actor_pool) remains for stages with genuinely expensive
-# per-worker setup; the tokenizer's state here is a few scalars and the
-# shard memos, so tasks are the faster default on and off the sandbox.
+# Worker-global stage memo for the tokenize tasks: Ray Data tasks run on
+# prewarmed worker processes, so building the stage once per worker
+# (keyed by the ordmap/spill dirs) gives actor-pool state semantics with
+# zero pool-ramp cost.  The stage state is a few scalars and the shard
+# memos, so no actor pool is needed.
 _TASK_STAGE: dict[str, TokenizerStage] = {}
 
 
@@ -393,17 +388,6 @@ def tokenize_file_task(
     return pa.concat_tables(outs).cast(SPILL_ROW_SCHEMA)
 
 
-class TokenizerFileStage:
-    """Actor-pool variant of tokenize_file_task (cfg.tokenize_actor_pool):
-    same per-file unit of work, state held by the actor."""
-
-    def __init__(self, **kw):
-        self._kw = kw
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return tokenize_file_task(batch, **self._kw)
-
-
 # ---------------------------------------------------------------------------
 # Stage D: shard merge
 # ---------------------------------------------------------------------------
@@ -428,184 +412,164 @@ def shard_group(shard, num_groups: int):
     return ((shard % num_groups) + num_groups) % num_groups
 
 
-def make_merge_shard(index_dir: str, cfg: IndexConfig):
-    """Classic exchange: per-shard merge fn for groupby(shard).map_groups."""
-
-    def merge_shard(group: pa.Table) -> pa.Table:
-        limit_worker_threads()
-        shard = group["shard"][0].as_py()
-        return merge_shard_table(group, shard, index_dir, cfg)
-
-    return merge_shard
-
-
 def merge_shard_table(group: pa.Table, shard: int, index_dir: str, cfg: IndexConfig) -> pa.Table:
     """Merge one shard's posting rows into a compressed segment file
     (or a doclens bucket for negative shards); returns the manifest row."""
     block = cfg.block_size
-    if True:  # keep the original body's indentation
-        if shard < 0:
-            return _merge_doclen_bucket(group, shard, index_dir)
-        # sort by (field, term, ordinal) without a full-table string sort:
-        # dictionary-encode both string columns, rank only the UNIQUE
-        # values lexicographically, then integer-lexsort the rows.  Terms
-        # repeat heavily (df >> 1), so this sorts ~n/df strings instead
-        # of n.
-        # spill files are read with parquet dictionary columns preserved
-        # (see merge_group), so these are usually already dictionary-typed
-        # — combine_chunks unifies the per-file dictionaries and the
-        # explicit encode only runs on the classic groupby path.  Rank
-        # computation below is invariant to dictionary code order.
-        f_dict_arr = group["field"].combine_chunks()
-        if not pa.types.is_dictionary(f_dict_arr.type):
-            f_dict_arr = f_dict_arr.dictionary_encode()
-        t_dict_arr = group["term"].combine_chunks()
-        if not pa.types.is_dictionary(t_dict_arr.type):
-            t_dict_arr = t_dict_arr.dictionary_encode()
-        fcodes_u = f_dict_arr.indices.to_numpy(zero_copy_only=False)
-        tcodes_u = t_dict_arr.indices.to_numpy(zero_copy_only=False)
-        f_vals = f_dict_arr.dictionary
-        t_vals = t_dict_arr.dictionary
-        f_order = pc.sort_indices(f_vals).to_numpy(zero_copy_only=False)
-        t_order = pc.sort_indices(t_vals).to_numpy(zero_copy_only=False)
-        f_rank = np.empty(len(f_vals), dtype=np.int64)
-        f_rank[f_order] = np.arange(len(f_vals))
-        t_rank = np.empty(len(t_vals), dtype=np.int64)
-        t_rank[t_order] = np.arange(len(t_vals))
-        ords_raw = group["ordinal"].to_numpy(zero_copy_only=False)
-        perm = np.lexsort((ords_raw, t_rank[tcodes_u], f_rank[fcodes_u]))
+    if shard < 0:
+        return _merge_doclen_bucket(group, shard, index_dir)
+    # sort by (field, term, ordinal) without a full-table string sort:
+    # rank only the UNIQUE dictionary values lexicographically, then
+    # integer-lexsort the rows.  Terms repeat heavily (df >> 1), so this
+    # sorts ~n/df strings instead of n.  merge_group reads both columns
+    # as parquet dictionary columns; combine_chunks unifies the per-file
+    # dictionaries, and the ranks are invariant to dictionary code order.
+    f_dict_arr = group["field"].combine_chunks()
+    t_dict_arr = group["term"].combine_chunks()
+    fcodes_u = f_dict_arr.indices.to_numpy(zero_copy_only=False)
+    tcodes_u = t_dict_arr.indices.to_numpy(zero_copy_only=False)
+    f_vals = f_dict_arr.dictionary
+    t_vals = t_dict_arr.dictionary
+    f_order = pc.sort_indices(f_vals).to_numpy(zero_copy_only=False)
+    t_order = pc.sort_indices(t_vals).to_numpy(zero_copy_only=False)
+    f_rank = np.empty(len(f_vals), dtype=np.int64)
+    f_rank[f_order] = np.arange(len(f_vals))
+    t_rank = np.empty(len(t_vals), dtype=np.int64)
+    t_rank[t_order] = np.arange(len(t_vals))
+    ords_raw = group["ordinal"].to_numpy(zero_copy_only=False)
+    perm = np.lexsort((ords_raw, t_rank[tcodes_u], f_rank[fcodes_u]))
 
-        ords = ords_raw[perm].astype(np.uint64)
-        tfs = group["tf"].to_numpy(zero_copy_only=False)[perm].astype(np.uint64)
+    ords = ords_raw[perm].astype(np.uint64)
+    tfs = group["tf"].to_numpy(zero_copy_only=False)[perm].astype(np.uint64)
 
-        n = len(ords)
-        fcodes = fcodes_u[perm]
-        tcodes = tcodes_u[perm]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.logical_or(fcodes[1:] != fcodes[:-1], tcodes[1:] != tcodes[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        lens = ends - starts
-        n_runs = len(starts)
-        run_ends_m1 = ends - 1
+    n = len(ords)
+    fcodes = fcodes_u[perm]
+    tcodes = tcodes_u[perm]
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    np.logical_or(fcodes[1:] != fcodes[:-1], tcodes[1:] != tcodes[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], n)
+    lens = ends - starts
+    n_runs = len(starts)
+    run_ends_m1 = ends - 1
 
-        # delta-gap ALL ordinals in one pass (reset to absolute at each run
-        # start), varbyte-encode once, slice per run by byte offsets
-        gaps = np.empty_like(ords)
-        gaps[0] = ords[0]
-        np.subtract(ords[1:], ords[:-1], out=gaps[1:])
-        gaps[starts] = ords[starts]
-        ords_buf = varbyte_encode(gaps)
-        ords_nb = np.cumsum(varbyte_sizes(gaps))
-        ords_offs = np.zeros(n_runs + 1, dtype=np.int64)
-        ords_offs[1:] = ords_nb[run_ends_m1]
+    # delta-gap ALL ordinals in one pass (reset to absolute at each run
+    # start), varbyte-encode once, slice per run by byte offsets
+    gaps = np.empty_like(ords)
+    gaps[0] = ords[0]
+    np.subtract(ords[1:], ords[:-1], out=gaps[1:])
+    gaps[starts] = ords[starts]
+    ords_buf = varbyte_encode(gaps)
+    ords_nb = np.cumsum(varbyte_sizes(gaps))
+    ords_offs = np.zeros(n_runs + 1, dtype=np.int64)
+    ords_offs[1:] = ords_nb[run_ends_m1]
 
-        tfs_buf = varbyte_encode(tfs)
-        tfs_nb = np.cumsum(varbyte_sizes(tfs))
-        tfs_offs = np.zeros(n_runs + 1, dtype=np.int64)
-        tfs_offs[1:] = tfs_nb[run_ends_m1]
+    tfs_buf = varbyte_encode(tfs)
+    tfs_nb = np.cumsum(varbyte_sizes(tfs))
+    tfs_offs = np.zeros(n_runs + 1, dtype=np.int64)
+    tfs_offs[1:] = tfs_nb[run_ends_m1]
 
-        # positions: rows are contiguous after take -> per-run bytes are a
-        # contiguous slice of the binary column's data buffer
-        pos_col_in = pc.take(group["pos_blob"].combine_chunks(), pa.array(perm))
-        off_dtype = np.int64 if pa.types.is_large_binary(pos_col_in.type) else np.int32
-        pos_in_offs = np.frombuffer(pos_col_in.buffers()[1], dtype=off_dtype)[
-            pos_col_in.offset : pos_col_in.offset + n + 1
-        ].astype(np.int64)
-        pos_buf = pos_col_in.buffers()[2]
-        pos_offs = pos_in_offs[np.append(starts, n)]
-        base = int(pos_in_offs[0])
-        pos_offs = pos_offs - base
+    # positions: rows are contiguous after take -> per-run bytes are a
+    # contiguous slice of the binary column's data buffer
+    pos_col_in = pc.take(group["pos_blob"].combine_chunks(), pa.array(perm))
+    off_dtype = np.int64 if pa.types.is_large_binary(pos_col_in.type) else np.int32
+    pos_in_offs = np.frombuffer(pos_col_in.buffers()[1], dtype=off_dtype)[
+        pos_col_in.offset : pos_col_in.offset + n + 1
+    ].astype(np.int64)
+    pos_buf = pos_col_in.buffers()[2]
+    pos_offs = pos_in_offs[np.append(starts, n)]
+    base = int(pos_in_offs[0])
+    pos_offs = pos_offs - base
 
-        # block-max metadata — fully vectorized over BLOCKS (the old
-        # per-run Python loop was ~0.7 s per 2M-posting shard): block
-        # starts partition the sorted posting array exactly (each run's
-        # last block ends where the next run begins), so one reduceat
-        # gives every block's max tf and one gather every block's last
-        # ordinal.
-        df64 = lens.astype(np.int64)
-        cf = np.add.reduceat(tfs.astype(np.int64), starts)
-        n_blocks = (df64 + block - 1) // block
-        blk_offs = np.zeros(n_runs + 1, dtype=np.int64)
-        np.cumsum(n_blocks, out=blk_offs[1:])
-        total_blocks = int(blk_offs[-1])
-        run_of_block = np.repeat(np.arange(n_runs, dtype=np.int64), n_blocks)
-        blk_in_run = np.arange(total_blocks, dtype=np.int64) - blk_offs[run_of_block]
-        block_starts = starts[run_of_block] + blk_in_run * block
-        block_ends = np.append(block_starts[1:], n) - 1
-        blk_last_flat = np.ascontiguousarray(ords[block_ends], dtype=np.uint64)
-        blk_maxtf_flat = np.maximum.reduceat(tfs, block_starts).astype(np.uint32)
+    # block-max metadata — fully vectorized over BLOCKS (the old
+    # per-run Python loop was ~0.7 s per 2M-posting shard): block
+    # starts partition the sorted posting array exactly (each run's
+    # last block ends where the next run begins), so one reduceat
+    # gives every block's max tf and one gather every block's last
+    # ordinal.
+    df64 = lens.astype(np.int64)
+    cf = np.add.reduceat(tfs.astype(np.int64), starts)
+    n_blocks = (df64 + block - 1) // block
+    blk_offs = np.zeros(n_runs + 1, dtype=np.int64)
+    np.cumsum(n_blocks, out=blk_offs[1:])
+    total_blocks = int(blk_offs[-1])
+    run_of_block = np.repeat(np.arange(n_runs, dtype=np.int64), n_blocks)
+    blk_in_run = np.arange(total_blocks, dtype=np.int64) - blk_offs[run_of_block]
+    block_starts = starts[run_of_block] + blk_in_run * block
+    block_ends = np.append(block_starts[1:], n) - 1
+    blk_last_flat = np.ascontiguousarray(ords[block_ends], dtype=np.uint64)
+    blk_maxtf_flat = np.maximum.reduceat(tfs, block_starts).astype(np.uint32)
 
-        def bin_col(offsets_elems: np.ndarray, buf, elem_size: int = 1) -> pa.Array:
-            return pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(),
-                n_runs,
-                [None, pa.py_buffer((offsets_elems * elem_size).astype(np.int64).tobytes()), buf],
-            )
-
-        n_postings = int(n)
-        seg = pa.table(
-            {
-                "field": pc.take(f_vals, pa.array(fcodes[starts])),
-                "term": pc.take(t_vals, pa.array(tcodes[starts])),
-                "df": pa.array(df64),
-                "cf": pa.array(cf),
-                "ords": bin_col(ords_offs, pa.py_buffer(ords_buf)),
-                "tfs": bin_col(tfs_offs, pa.py_buffer(tfs_buf)),
-                "pos": bin_col(pos_offs, pos_buf.slice(base, int(pos_offs[-1]))),
-                "blk_last": bin_col(blk_offs, pa.py_buffer(blk_last_flat.tobytes()), 8),
-                "blk_maxtf": bin_col(blk_offs, pa.py_buffer(blk_maxtf_flat.tobytes()), 4),
-            }
-        ).cast(SEGMENT_SCHEMA)
-        # single-chunk before writing: parquet row-group boundaries follow
-        # table chunking, which depends on upstream block layout — combine
-        # so segment bytes are a pure function of the logical rows
-        seg = seg.combine_chunks()
-        sink = pa.BufferOutputStream()
-        pq.write_table(seg, sink, compression="zstd")
-        data = sink.getvalue().to_pybytes()
-        atomic_write_bytes(os.path.join(index_dir, "segments", f"shard-{shard:05d}.parquet"), data)
-
-        # dictionary sidecar: the distinct (field, base-term) pairs of this
-        # shard, written by the same merge task (the terms are already in
-        # hand — no extra pass).  Readers build per-field vocabularies
-        # (prefix expansion, fuzzy candidates) from dict/ alone instead of
-        # scanning the term column of EVERY segment shard, which at 878k
-        # docs cost ~10 s of cold disk per field and grows with the corpus.
-        dict_t = pc.take(t_vals, pa.array(tcodes[starts]))
-        # de-salt hot-term variants ("term\x01bucket" -> "term"); the
-        # tokenizer emits [a-z0-9]+ only, so \x01 is unambiguous
-        dict_t = pc.replace_substring_regex(dict_t, "\x01.*$", "")
-        dict_tbl = pa.table(
-            {
-                "field": pc.take(f_vals, pa.array(fcodes[starts])).cast(pa.string()),
-                "term": dict_t.cast(pa.string()),
-            }
+    def bin_col(offsets_elems: np.ndarray, buf, elem_size: int = 1) -> pa.Array:
+        return pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(),
+            n_runs,
+            [None, pa.py_buffer((offsets_elems * elem_size).astype(np.int64).tobytes()), buf],
         )
-        dict_tbl = dict_tbl.group_by(["field", "term"]).aggregate([])
-        dict_tbl = dict_tbl.take(
-            pc.sort_indices(
-                dict_tbl, sort_keys=[("field", "ascending"), ("term", "ascending")]
-            )
-        ).combine_chunks()
-        dsink = pa.BufferOutputStream()
-        pq.write_table(dict_tbl, dsink, compression="zstd")
-        os.makedirs(os.path.join(index_dir, "dict"), exist_ok=True)
-        atomic_write_bytes(
-            os.path.join(index_dir, "dict", f"shard-{shard:05d}.parquet"),
-            dsink.getvalue().to_pybytes(),
+
+    n_postings = int(n)
+    seg = pa.table(
+        {
+            "field": pc.take(f_vals, pa.array(fcodes[starts])),
+            "term": pc.take(t_vals, pa.array(tcodes[starts])),
+            "df": pa.array(df64),
+            "cf": pa.array(cf),
+            "ords": bin_col(ords_offs, pa.py_buffer(ords_buf)),
+            "tfs": bin_col(tfs_offs, pa.py_buffer(tfs_buf)),
+            "pos": bin_col(pos_offs, pos_buf.slice(base, int(pos_offs[-1]))),
+            "blk_last": bin_col(blk_offs, pa.py_buffer(blk_last_flat.tobytes()), 8),
+            "blk_maxtf": bin_col(blk_offs, pa.py_buffer(blk_maxtf_flat.tobytes()), 4),
+        }
+    ).cast(SEGMENT_SCHEMA)
+    # single-chunk before writing: parquet row-group boundaries follow
+    # table chunking, which depends on upstream block layout — combine
+    # so segment bytes are a pure function of the logical rows
+    seg = seg.combine_chunks()
+    sink = pa.BufferOutputStream()
+    pq.write_table(seg, sink, compression="zstd")
+    data = sink.getvalue().to_pybytes()
+    atomic_write_bytes(os.path.join(index_dir, "segments", f"shard-{shard:05d}.parquet"), data)
+
+    # dictionary sidecar: the distinct (field, base-term) pairs of this
+    # shard, written by the same merge task (the terms are already in
+    # hand — no extra pass).  Readers build per-field vocabularies
+    # (prefix expansion, fuzzy candidates) from dict/ alone instead of
+    # scanning the term column of EVERY segment shard, which at 878k
+    # docs cost ~10 s of cold disk per field and grows with the corpus.
+    dict_t = pc.take(t_vals, pa.array(tcodes[starts]))
+    # de-salt hot-term variants ("term\x01bucket" -> "term"); the
+    # tokenizer emits [a-z0-9]+ only, so \x01 is unambiguous
+    dict_t = pc.replace_substring_regex(dict_t, "\x01.*$", "")
+    dict_tbl = pa.table(
+        {
+            "field": pc.take(f_vals, pa.array(fcodes[starts])).cast(pa.string()),
+            "term": dict_t.cast(pa.string()),
+        }
+    )
+    dict_tbl = dict_tbl.group_by(["field", "term"]).aggregate([])
+    dict_tbl = dict_tbl.take(
+        pc.sort_indices(
+            dict_tbl, sort_keys=[("field", "ascending"), ("term", "ascending")]
         )
-        return pa.table(
-            {
-                "shard": pa.array([shard], type=pa.int32()),
-                "n_terms": pa.array([len(starts)], type=pa.int64()),
-                "n_postings": pa.array([n_postings], type=pa.int64()),
-                "bytes": pa.array([len(data)], type=pa.int64()),
-                "sha256": pa.array([hashlib.sha256(data).hexdigest()], type=pa.string()),
-                "extra": pa.array([""], type=pa.string()),
-            }
-        )
+    ).combine_chunks()
+    dsink = pa.BufferOutputStream()
+    pq.write_table(dict_tbl, dsink, compression="zstd")
+    os.makedirs(os.path.join(index_dir, "dict"), exist_ok=True)
+    atomic_write_bytes(
+        os.path.join(index_dir, "dict", f"shard-{shard:05d}.parquet"),
+        dsink.getvalue().to_pybytes(),
+    )
+    return pa.table(
+        {
+            "shard": pa.array([shard], type=pa.int32()),
+            "n_terms": pa.array([len(starts)], type=pa.int64()),
+            "n_postings": pa.array([n_postings], type=pa.int64()),
+            "bytes": pa.array([len(data)], type=pa.int64()),
+            "sha256": pa.array([hashlib.sha256(data).hexdigest()], type=pa.string()),
+            "extra": pa.array([""], type=pa.string()),
+        }
+    )
 
 
 MERGE_ROW_SCHEMA = pa.schema(
@@ -623,9 +587,8 @@ MERGE_ROW_SCHEMA = pa.schema(
 def make_merge_group(index_dir: str, cfg: IndexConfig, spill_dir: str, done_shards: set[int]):
     """Spill exchange, reduce side: one task per shard group.  Reads the
     group's spill files (written map-side by the tokenize stage), slices
-    them into per-shard runs and merges each shard with the same
-    merge_shard_table the classic groupby path uses — segment bytes are
-    identical by construction (conformance-tested)."""
+    them into per-shard runs and merges each shard with
+    merge_shard_table."""
 
     done = set(done_shards)
 
@@ -638,7 +601,7 @@ def make_merge_group(index_dir: str, cfg: IndexConfig, spill_dir: str, done_shar
             if not os.path.isdir(gdir):
                 continue
             # read field/term as parquet dictionary columns: skips the
-            # string materialization on read AND the dictionary_encode in
+            # string materialization on read and any dictionary_encode in
             # merge_shard_table (~90 ms per 2M-posting group, twice)
             t = pq.read_table(
                 gdir,
@@ -680,12 +643,11 @@ def _merge_doclen_bucket(group: pa.Table, shard: int, index_dir: str) -> pa.Tabl
     report per-field length totals (for avgdl) in the manifest row."""
     import json
 
-    # decode a dictionary-typed field column (from the dictionary-
-    # preserving spill read) BEFORE sorting/writing so the bucket file
-    # schema and bytes stay identical to the plain-string path
-    if pa.types.is_dictionary(group["field"].type):
-        i = group.column_names.index("field")
-        group = group.set_column(i, "field", group["field"].cast(pa.string()))
+    # decode the dictionary-typed field column (from the dictionary-
+    # preserving spill read) BEFORE sorting/writing: the bucket file
+    # stores plain strings
+    i = group.column_names.index("field")
+    group = group.set_column(i, "field", group["field"].cast(pa.string()))
     g = group.take(
         pc.sort_indices(group, sort_keys=[("field", "ascending"), ("ordinal", "ascending")])
     )

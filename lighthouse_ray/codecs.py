@@ -120,14 +120,6 @@ def delta_decode(gaps: np.ndarray) -> np.ndarray:
     return np.cumsum(a, dtype=np.uint64)
 
 
-def encode_postings(ordinals: np.ndarray) -> bytes:
-    return varbyte_encode(delta_encode(ordinals))
-
-
-def decode_postings(buf: bytes) -> np.ndarray:
-    return delta_decode(varbyte_decode(buf))
-
-
 def encode_position_lists(positions: np.ndarray, tfs: np.ndarray) -> bytes:
     """Encode per-doc position lists (concatenated) for one term.
 

@@ -57,9 +57,7 @@ class IndexConfig:
     # with no all-to-all object-store sort.  None (default) resolves to
     # num_term_shards (one group per shard: best reduce balance); set
     # lower to bound spill-file counts when payload files x shards is
-    # large.  Set extra={"exchange": "groupby"} to use the classic
-    # read -> groupby(shard) -> map_groups path instead (conformance-
-    # tested to produce byte-identical segments).
+    # large.
     num_shard_groups: int | None = None
 
     @property
@@ -74,12 +72,6 @@ class IndexConfig:
 
     # execution sizing
     tokenize_batch_size: int = 1024  # docs per tokenize batch (drop for MB-scale payloads)
-    # False (default): tokenize as plain tasks on prewarmed workers with a
-    # per-worker stage memo — the stage state is a zero-copy plasma read,
-    # so tasks start at full width instantly.  True: ActorPool
-    # map_batches (for setups that are genuinely expensive per worker).
-    tokenize_actor_pool: bool = False
-    tokenize_concurrency: int | None = None  # actor pool: None -> autoscaling (1, cpus-1)
 
     # delete-route Spent/Expired docs at build (chainquery.go:127-132);
     # disable for corpora without upsert/delete semantics
@@ -93,6 +85,7 @@ class IndexConfig:
     # frozen "now" for time-decay scoring fixtures (FIXTURES.md §1)
     now_ts: int = 1_767_225_600      # 2026-01-01T00:00:00Z
 
+    # test-only knobs: {"fail_files": [...]} injects a tokenize failure
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:

@@ -43,16 +43,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis import flat_tokens
+from ..index.reader import _popcount64
 from .exchange import combine_hashes, spill_exchange
 
 # fixed seeded 64-bit affine hashers for minhash (a*x+b mod p)
 _P = np.uint64((1 << 61) - 1)
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    return _POP8[x.view(np.uint8)].reshape(len(x), 8).sum(axis=1).astype(np.int64)
 
 
 def _perm_params(num_perm: int, seed: int = 42):
@@ -249,9 +244,9 @@ def _bloom_filtered_pairs(idh: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     return np.concatenate(keep_a), np.concatenate(keep_b)
 
 
-def _shingle_pairs_reduce(max_df: int | None, pair_key_ref=None,
-                          pair_bloom_ref=None, pair_m_bits: int = 1 << 25,
-                          pair_k: int = 4, pair_vals_ref=None):
+def _shingle_pairs_reduce(max_df: int | None, pair_bloom_ref=None,
+                          pair_m_bits: int = 1 << 25, pair_k: int = 4,
+                          pair_vals_ref=None):
     """Reduce for the shingle exchange: sort by (sh, id), run-length
     the shingles, drop hot runs (df > max_df), emit locally-combined
     pair rows (a, b, na, nb, inter).
@@ -317,16 +312,6 @@ def _shingle_pairs_reduce(max_df: int | None, pair_key_ref=None,
                 "one": pa.array(np.ones(len(a_idx), dtype=np.int64)),
             }
         )
-        if pair_key_ref is not None:
-            import ray
-
-            keyset = ray.get(pair_key_ref)
-            key = pc.binary_join_element_wise(
-                pc.cast(pairs["a"], pa.string()), pc.cast(pairs["b"], pa.string()), "\x00"
-            )
-            pairs = pairs.filter(pc.is_in(key, value_set=keyset))
-            if pairs.num_rows == 0:
-                return empty
         g = pairs.group_by(["a", "b"], use_threads=False).aggregate(
             [("one", "sum"), ("na", "min"), ("nb", "min")]
         )
@@ -594,59 +579,14 @@ def winnow_pairs(ds, *, k: int = 3, w: int = 4, min_shared: int = 2,
     )
 
 
-def exact_jaccard_for_pairs(ds, pairs: list[tuple], n: int = 3,
-                            text_col: str = "text", id_col: str = "doc_id",
-                            num_parts: int = 32):
-    """Exact distinct-shingle Jaccard for an explicit candidate pair
-    list (the verification stage after LSH/SimHash candidate
-    generation).  The candidate set is output-sized, so broadcasting
-    its id- and pair-sets is the small-side-broadcast pattern, not a
-    driver materialization of data rows.  No df cap: exact values need
-    every shared shingle counted."""
-    import ray
-    import ray.data as rd
-
-    if not pairs:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "inter": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
-        )
-    ids = sorted({x for p in pairs for x in p[:2]})
-    id_ref = ray.put(pa.array(ids))
-    key_ref = ray.put(pa.array([f"{a}\x00{b}" for a, b in sorted(set((p[0], p[1]) for p in pairs))]))
-
-    def explode(b: pa.Table) -> pa.Table:
-        import ray as _r
-
-        sel = pc.is_in(b[id_col], value_set=_r.get(id_ref))
-        return doc_shingles(b.filter(sel), text_col, id_col, n)
-
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
-    st: dict = {}
-    partial = spill_exchange(
-        exploded, "sh", _shingle_pairs_reduce(None, pair_key_ref=key_ref),
-        num_parts=num_parts, stats=st,
-    )
-    return spill_exchange(
-        partial, ["a", "b"], _pair_agg_reduce(None, None), num_parts=num_parts,
-        cleanup_after=[st["root"]],
-    )
-
-
 def exact_jaccard_for_pair_ds(ds, cand, n: int = 3,
                               text_col: str = "text", id_col: str = "doc_id",
                               num_parts: int = 32,
                               m_bits: int = 1 << 20, k_hashes: int = 4,
                               cleanup_after: list[str] | None = None):
     """Exact distinct-shingle Jaccard for a candidate-pair DATASET
-    (columns ``a``, ``b``; duplicate rows allowed) — the streaming
-    sibling of :func:`exact_jaccard_for_pairs`.  Nothing pair-sized
+    (columns ``a``, ``b``; duplicate rows allowed) — the verification
+    stage after LSH/SimHash candidate generation.  Nothing pair-sized
     ever reaches the driver, so a pathological corpus where every doc
     is a near-dup (candidates ≫ driver RAM) still verifies in bounded
     driver memory:
@@ -1754,8 +1694,7 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 
 def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
-                           vec_col: str = "embedding", matrix_ref=None,
-                           block_rows: int = 4096):
+                           vec_col: str = "embedding", block_rows: int = 4096):
     """Exact embedding-cosine pairs (a < b, cos >= threshold) via
     BLOCKED all-pairs: rows are grouped into normalized blocks held in
     the object store, and one task per block PAIR computes a (block x
@@ -1765,9 +1704,6 @@ def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     be served exactly by LSH/IVF pruning without recall loss); for
     high-threshold near-dup at scale, prune candidates first with
     :func:`minhash_lsh_candidates`-style bucketing on quantized vectors.
-
-    ``matrix_ref`` (legacy broadcast path) is accepted for
-    compatibility but ignored.
     """
     import os
     import uuid

@@ -49,6 +49,24 @@ MEDIA_META_SCHEMA = pa.schema(
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 # PNG color type -> samples per pixel (spec §6.1)
 _PNG_CHANNELS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
+# PNG color type -> allowed bit depths (spec §11.2.2)
+_PNG_DEPTHS = {0: (1, 2, 4, 8, 16), 2: (8, 16), 3: (1, 2, 4, 8), 4: (8, 16), 6: (8, 16)}
+# Adam7 passes: (x0, y0, dx, dy) (spec §8.2)
+_ADAM7 = ((0, 0, 8, 8), (4, 0, 8, 8), (0, 4, 4, 8), (2, 0, 4, 4),
+          (0, 2, 2, 4), (1, 0, 2, 2), (0, 1, 1, 2))
+
+
+def _png_raw_size(w: int, h: int, bits_per_px: int, interlaced: bool) -> int:
+    """Decompressed IDAT size: one filter byte plus the packed samples per
+    scanline, summed over the 7 reduced images when Adam7-interlaced."""
+    if not interlaced:
+        return h * (1 + (bits_per_px * w + 7) // 8)
+    total = 0
+    for x0, y0, dx, dy in _ADAM7:
+        pw, ph = (w - x0 + dx - 1) // dx, (h - y0 + dy - 1) // dy
+        if pw > 0 and ph > 0:
+            total += ph * (1 + (bits_per_px * pw + 7) // 8)
+    return total
 
 
 def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, int]:
@@ -58,9 +76,13 @@ def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, in
     if payload[:8] != _PNG_SIG or payload[12:16] != b"IHDR":
         raise ValueError("not a PNG")
     w, h = struct.unpack(">II", payload[16:24])
-    bit_depth, color_type = payload[24], payload[25]
+    bit_depth, color_type, interlace = payload[24], payload[25], payload[28]
     if color_type not in _PNG_CHANNELS:
         raise ValueError(f"bad PNG color type {color_type}")
+    if bit_depth not in _PNG_DEPTHS[color_type]:
+        raise ValueError(f"bad PNG bit depth {bit_depth} for color type {color_type}")
+    if interlace not in (0, 1):
+        raise ValueError(f"bad PNG interlace method {interlace}")
     channels = _PNG_CHANNELS[color_type]
     if verify_pixels:
         # walk chunks, concatenate IDAT, decompress, check scanline bytes
@@ -74,8 +96,7 @@ def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, in
             if ctype == b"IEND":
                 break
             pos += 12 + clen  # len + type + data + crc
-        bytes_per_px = max(1, (bit_depth * channels) // 8)
-        expect = h * (1 + bytes_per_px * w)
+        expect = _png_raw_size(w, h, bit_depth * channels, interlace == 1)
         # decompression-bomb guard: the header fixes the exact raw size,
         # so never inflate past it — a malicious 1 KB IDAT expanding to
         # GBs must fail fast instead of filling an ingest actor's heap
@@ -591,7 +612,8 @@ def _lzw_decode(min_code_size: int, data: bytes, expected: int) -> np.ndarray:
                 entry = table[code]
             elif code < len(table):
                 entry = table[code]
-                table.append(prev + entry[:1])
+                if len(table) < 4096:
+                    table.append(prev + entry[:1])
             elif code == len(table):
                 entry = prev + prev[:1]
                 table.append(entry)
@@ -600,11 +622,9 @@ def _lzw_decode(min_code_size: int, data: bytes, expected: int) -> np.ndarray:
             out += entry
             if len(out) > expected:
                 raise ValueError("GIF frame overruns its descriptor size")
-            # width sync ("early change"): the decoder's table trails the
-            # encoder's next_code by exactly one entry (the encoder adds
-            # per emitted code, the decoder per RECEIVED code starting at
-            # the second), so widen when len+1 reaches 2^width
-            if len(table) + 1 >= (1 << width) and width < 12:
+            # GIF widens once the table REACHES 2^width (no TIFF-style
+            # early change); a full table keeps 12-bit codes until CLEAR
+            if len(table) == (1 << width) and width < 12:
                 width += 1
             prev = entry
     raise ValueError("GIF LZW stream ended without END code")
@@ -630,6 +650,15 @@ def _lzw_encode(min_code_size: int, pixels: np.ndarray) -> bytes:
             acc >>= 8
             nbits -= 8
 
+    def emit_data(code: int):
+        # after reading a data code the decoder's table holds next_code
+        # entries (it adds one per code, from the second on); it widens
+        # once that count reaches 2^width, so the next code must too
+        nonlocal width
+        emit(code)
+        if next_code >= (1 << width) and width < 12:
+            width += 1
+
     emit(clear)
     prev = b""
     for px in pixels.tobytes():
@@ -637,14 +666,9 @@ def _lzw_encode(min_code_size: int, pixels: np.ndarray) -> bytes:
         if cur in table:
             prev = cur
             continue
-        emit(table[prev])
+        emit_data(table[prev])
         table[cur] = next_code
         next_code += 1
-        # width sync with the decoder: its table length equals next_code
-        # after consuming the code just emitted, and it widens when that
-        # length reaches 2^width — so the NEXT code must use width+1 now
-        if next_code >= (1 << width) and width < 12:
-            width += 1
         if next_code >= 4096:
             emit(clear)
             table = {bytes([i]): i for i in range(clear)}
@@ -652,14 +676,7 @@ def _lzw_encode(min_code_size: int, pixels: np.ndarray) -> bytes:
             width = min_code_size + 1
         prev = bytes([px])
     if prev:
-        emit(table[prev])
-        # the decoder adds a table entry for this final code too and may
-        # widen BEFORE reading END — mirror that virtual entry or END is
-        # written one bit narrower than the decoder reads it (tail-
-        # boundary desync caught on constant-run frames)
-        next_code += 1
-        if next_code >= (1 << width) and width < 12:
-            width += 1
+        emit_data(table[prev])
     emit(end)
     if nbits:
         out.append(acc & 0xFF)
@@ -685,8 +702,8 @@ def _gif_sub_blocks(payload: bytes, pos: int) -> tuple[bytes, int]:
 def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
     """Decode EVERY frame of a (possibly animated) GIF to (h, w) uint8
     palette-index arrays — a true pixel decode via the LZW codec above.
-    Interlaced frames are rejected (the synthesizer never emits them).
-    Malformed or truncated input raises ValueError."""
+    Interlaced frames are put back in row order.  Malformed or truncated
+    input raises ValueError."""
     decode_gif(payload)  # signature + logical screen descriptor
     flags = payload[10]
     pos = 13
@@ -705,8 +722,6 @@ def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
             _l, _t, fw, fh = struct.unpack("<HHHH", payload[pos + 1 : pos + 9])
             iflags = payload[pos + 9]
             pos += 10
-            if iflags & 0x40:
-                raise ValueError("interlaced GIF not supported")
             if iflags & 0x80:
                 pos += 3 * (2 << (iflags & 7))  # local color table
             if pos >= len(payload):
@@ -715,8 +730,16 @@ def decode_gif_frames(payload: bytes) -> list[np.ndarray]:
             if not 1 <= mcs <= 8:
                 raise ValueError(f"bad GIF LZW minimum code size {mcs}")
             data, pos = _gif_sub_blocks(payload, pos + 1)
-            px = _lzw_decode(mcs, data, fw * fh)
-            frames.append(px.reshape(fh, fw))
+            px = _lzw_decode(mcs, data, fw * fh).reshape(fh, fw)
+            if iflags & 0x40:
+                # interlaced: rows arrive in 4 passes (every 8th row from
+                # 0, every 8th from 4, every 4th from 2, every 2nd from 1)
+                rows = np.concatenate([np.arange(0, fh, 8), np.arange(4, fh, 8),
+                                       np.arange(2, fh, 4), np.arange(1, fh, 2)])
+                frame = np.empty_like(px)
+                frame[rows] = px
+                px = frame
+            frames.append(px)
         else:
             raise ValueError(f"unknown GIF block 0x{b0:02x}")
     if not frames:

@@ -262,8 +262,9 @@ class IndexReader:
         self.docmeta()
 
     def _fuzzy_scan_state(self, field: str):
-        """(terms, lens, offs, data, charmask) for the fuzzy scan —
-        built once per field, all O(total vocabulary bytes)."""
+        """(terms, lens, offs, data, len_order, len_sorted, charmask_by_len)
+        for the fuzzy scan — built once per field, all O(total vocabulary
+        bytes)."""
         if self._dictionary is None:
             self._dictionary = {}
         key = ("__mat__", field)
@@ -307,9 +308,7 @@ class IndexReader:
             # charmask pre-gathered into length order: the per-query
             # bucket reads a contiguous slice instead of a bucket-sized
             # random gather
-            charmask_by_len = charmask[len_order]
-            packed = (d, lens, offs, data, charmask, len_order, len_sorted,
-                      charmask_by_len)
+            packed = (d, lens, offs, data, len_order, len_sorted, charmask[len_order])
             self._dictionary[key] = packed
         return packed
 
@@ -351,8 +350,7 @@ class IndexReader:
             self._dictionary[key] = packed
         return packed
 
-    def fuzzy_candidates(self, field: str, term: str, maxd: int,
-                         _prefilter: str = "bucket") -> list[str]:
+    def fuzzy_candidates(self, field: str, term: str, maxd: int) -> list[str]:
         """Dictionary terms within edit distance ``maxd`` of ``term``, in
         dictionary (sorted) order — vectorized banded Levenshtein DP over
         a padded codepoint matrix of the prefilter survivors (no Python
@@ -369,12 +367,8 @@ class IndexReader:
            q-gram bound is >= 1 AND the gather is cheaper than the DP
            it prunes (query-trigram run length vs survivors x n ops;
            on vocabularies where charmask already cuts to a few k rows
-           the gather would cost more than the DP it saves).
-
-        ``_prefilter="scan"`` keeps the pre-r5 full-vocabulary boolean
-        scan (benchmark baseline / conformance reference only)."""
-        d, lens, offs, data, charmask, len_order, len_sorted, cm_by_len = \
-            self._fuzzy_scan_state(field)
+           the gather would cost more than the DP it saves)."""
+        d, lens, offs, data, len_order, len_sorted, cm_by_len = self._fuzzy_scan_state(field)
         if len(d) == 0:
             return []
         n0 = len(term)
@@ -385,29 +379,20 @@ class IndexReader:
         qmask = np.uint64(
             np.bitwise_or.reduce(np.uint64(1) << (qcodes.astype(np.uint64) % np.uint64(64)))
         ) if len(qcodes) else np.uint64(0)
-        if _prefilter == "scan":
-            cand_idx = np.flatnonzero(np.abs(lens - n0) <= maxd)
-            if len(cand_idx) == 0:
-                return []
-            cm = charmask[cand_idx]
-        else:
-            lo = np.searchsorted(len_sorted, n0 - maxd, side="left")
-            hi = np.searchsorted(len_sorted, n0 + maxd, side="right")
-            if hi <= lo:
-                return []
-            cm = cm_by_len[lo:hi]  # contiguous slice, no gather
+        lo = np.searchsorted(len_sorted, n0 - maxd, side="left")
+        hi = np.searchsorted(len_sorted, n0 + maxd, side="right")
+        if hi <= lo:
+            return []
+        cm = cm_by_len[lo:hi]  # contiguous slice, no gather
         diff_a = cm & ~qmask
         diff_b = ~cm & qmask
         lb = np.maximum(_popcount64(diff_a), _popcount64(diff_b))
         keep = lb <= maxd
-        if _prefilter == "scan":
-            cand_idx = np.sort(cand_idx[keep])
-        else:
-            # gather original dictionary positions for SURVIVORS only
-            cand_idx = np.sort(len_order[lo:hi][keep])
+        # gather original dictionary positions for SURVIVORS only
+        cand_idx = np.sort(len_order[lo:hi][keep])
         if len(cand_idx) == 0:
             return []
-        if _prefilter != "scan" and n0 - 2 - 3 * maxd >= 1:
+        if n0 - 2 - 3 * maxd >= 1:
             tri_keys, tri_terms = self._trigram_index(field)
             if len(tri_keys):
                 tb = np.frombuffer(term.encode("utf-8"), dtype=np.uint8)

@@ -414,30 +414,3 @@ def _sloppy_freq(pos_lists: list[np.ndarray], slop: int) -> int:
         if ok and disp <= slop:
             count += 1
     return count
-
-
-def _edit_distance_le(a: str, b: str, k: int) -> bool:
-    """Banded Levenshtein: True iff distance(a, b) <= k."""
-    la, lb = len(a), len(b)
-    if abs(la - lb) > k:
-        return False
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        lo = max(1, i - k)
-        hi = min(lb, i + k)
-        if lo > 1:
-            cur[lo - 1] = k + 1
-        for j in range(lo, hi + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (a[i - 1] != b[j - 1]),
-            )
-        if hi < lb:
-            for j in range(hi + 1, lb + 1):
-                cur[j] = k + 1
-        if min(cur[max(0, lo - 1) :]) > k:
-            return False
-        prev = cur
-    return prev[lb] <= k

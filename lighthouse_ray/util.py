@@ -37,14 +37,6 @@ def stable_hash64(s: str) -> int:
     return int.from_bytes(hashlib.sha1(s.encode("utf-8")).digest()[:8], "big")
 
 
-def sha1_hex(s: str) -> str:
-    return hashlib.sha1(s.encode("utf-8")).hexdigest()
-
-
-def sha256_hex(s: str) -> str:
-    return hashlib.sha256(s.encode("utf-8")).hexdigest()
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write via unique temp file + rename: idempotent under task retries."""
     d = os.path.dirname(path)

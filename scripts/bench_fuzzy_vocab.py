@@ -1,21 +1,16 @@
-"""Fuzzy-expansion prefilter A/B at an 878k-term vocabulary (VERDICT
-r4 item 7 evidence).
+"""Fuzzy-expansion timing at an 878k-term vocabulary (VERDICT r4 item 7
+evidence).
 
 The fuzzy scan is purely dictionary-sized (reader-local, no Ray), so
 the benchmark synthesizes an 878k-term identifier-style vocabulary of
-the same shape as the round-3 878k-doc content field and times
-``fuzzy_candidates`` per novel query term in both modes:
+the same shape as the round-3 878k-doc content field and times the
+served ``fuzzy_candidates`` path (length-bucket slice + trigram q-gram
+count prefilter + charmask, then the banded DP) per novel query term.
+``tests/test_fuzzy_scan.py`` checks that path against brute force.
+Prints one JSON line.
 
-- ``scan``   — the pre-r5 path: full-vocabulary length+charmask boolean
-  scan, then the banded DP (the BASELINE "steady-state novel-term
-  query 0.96 s" shape);
-- ``bucket`` — the r5 path: length-bucket slice + trigram q-gram count
-  prefilter + charmask, same DP.
-
-Both modes are asserted to return IDENTICAL expansions per query
-(conformance), then timed.  Prints one JSON line.
-
-Usage: python scripts/bench_fuzzy_vocab.py [n_terms]   # default 878_000
+Usage: python scripts/bench_fuzzy_vocab.py [n_terms] [syllable|dense]
+       # defaults: 878_000 syllable
 """
 
 from __future__ import annotations
@@ -100,30 +95,20 @@ def main() -> int:
     r._trigram_index("content")
     t_tri = time.time() - t0
 
-    results = {}
-    for mode in ("scan", "bucket"):
-        per_q = []
-        for q in queries:
-            maxd = 2 if len(q) >= 6 else 1
-            t0 = time.time()
-            out = r.fuzzy_candidates("content", q, maxd, _prefilter=mode)
-            per_q.append(time.time() - t0)
-            results.setdefault("expansions", {}).setdefault(q, out)
-            assert results["expansions"][q] == out, f"mode mismatch on {q!r}"
-        arr = sorted(per_q)
-        results[mode] = {
-            "p50_s": round(arr[len(arr) // 2], 4),
-            "mean_s": round(sum(arr) / len(arr), 4),
-            "max_s": round(arr[-1], 4),
-        }
-    del results["expansions"]
+    per_q = []
+    for q in queries:
+        maxd = 2 if len(q) >= 6 else 1
+        t0 = time.time()
+        r.fuzzy_candidates("content", q, maxd)
+        per_q.append(time.time() - t0)
+    arr = sorted(per_q)
     print(json.dumps({
         "profile": profile, "n_terms": n_terms, "n_queries": len(queries),
         "build_scan_state_s": round(t_state, 3),
         "build_trigram_index_s": round(t_tri, 3),
-        "speedup_mean": round(results["scan"]["mean_s"]
-                              / max(results["bucket"]["mean_s"], 1e-9), 1),
-        **results,
+        "p50_s": round(arr[len(arr) // 2], 4),
+        "mean_s": round(sum(arr) / len(arr), 4),
+        "max_s": round(arr[-1], 4),
     }))
     return 0
 

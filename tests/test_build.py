@@ -216,24 +216,6 @@ def test_resume_skips_completed_stages(ray_session, built, tmp_path):
     assert {k: v["sha256"] for k, v in got.items()} == {k: v["sha256"] for k, v in want.items()}
 
 
-def test_exchange_conformance_spill_vs_groupby(ray_session, built, tmp_path):
-    """The spill exchange (per-group merge tasks) and the classic
-    groupby(shard) sort-shuffle must produce byte-identical segments."""
-    import ray.data as rd
-
-    from lighthouse_ray.build import build_index
-
-    idx, res = built  # built with the default spill exchange
-    cfg2 = IndexConfig(**{**CFG.to_json(), "extra": {"exchange": "groupby"}})
-    idx4 = str(tmp_path / "index4")
-    res4 = build_index(rd.from_arrow(gen_corpus(N_DOCS)), idx4, cfg2)
-    a = res.manifest["stages"]["segments"]["shards"]
-    b = res4.manifest["stages"]["segments"]["shards"]
-    assert set(a) == set(b)
-    for k in a:
-        assert a[k]["sha256"] == b[k]["sha256"], f"shard {k} differs between exchanges"
-
-
 def test_exchange_conformance_multi_shard_groups(ray_session, built, tmp_path):
     """num_shard_groups < num_term_shards packs several shards into each
     spill group (rows arrive shard-INTERLEAVED, so the merge task's
@@ -318,26 +300,6 @@ def test_resume_mid_tokenize(ray_session, built, tmp_path):
     assert set(a) == set(b)
     for k in a:
         assert a[k]["sha256"] == b[k]["sha256"], f"shard {k} differs after resume"
-
-
-def test_actor_pool_tokenize_conformance(ray_session, built, tmp_path):
-    """cfg.tokenize_actor_pool=True (ActorPool stage) must produce
-    byte-identical segments to the default task path."""
-    import ray.data as rd
-
-    from lighthouse_ray.build import build_index
-
-    idx, res = built
-    cfg6 = IndexConfig(**CFG.to_json())
-    cfg6.tokenize_actor_pool = True
-    cfg6.tokenize_concurrency = 2
-    idx6 = str(tmp_path / "index6")
-    res6 = build_index(rd.from_arrow(gen_corpus(N_DOCS)), idx6, cfg6)
-    a = res.manifest["stages"]["segments"]["shards"]
-    b = res6.manifest["stages"]["segments"]["shards"]
-    assert set(a) == set(b)
-    for k in a:
-        assert a[k]["sha256"] == b[k]["sha256"], f"shard {k} differs (actor pool)"
 
 
 def test_resume_after_ordmap_compact_crash(ray_session, built, tmp_path):

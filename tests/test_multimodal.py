@@ -268,8 +268,8 @@ def test_decoders_fuzz_raise_only_expected_types():
 
 def test_gif_lzw_roundtrip_and_width_sync():
     """From-scratch GIF LZW codec: roundtrip across sizes/palettes incl.
-    the 4096-entry dictionary reset, plus the 'early change' width-sync
-    case that desynced a naive decoder ([3,0,0] at min_code_size 2)."""
+    the 4096-entry dictionary reset, plus the width-sync case that
+    desynced a naive decoder ([3,0,0] at min_code_size 2)."""
     import numpy as np
 
     from lighthouse_ray.functions.multimodal import _lzw_decode, _lzw_encode
@@ -340,9 +340,8 @@ def test_frame_sampling_real_decode(ray_session):
 def test_gif_lzw_constant_run_boundary_sweep():
     """Constant-run frames hit every code-width boundary INCLUDING the
     tail case (the decoder adds a table entry for the final data code
-    and may widen before reading END — the encoder must mirror that
-    virtual entry).  Sweep every run length through several width
-    transitions."""
+    and may widen before reading END).  Sweep every run length through
+    several width transitions."""
     import numpy as np
 
     from lighthouse_ray.functions.multimodal import _lzw_decode, _lzw_encode
@@ -350,3 +349,163 @@ def test_gif_lzw_constant_run_boundary_sweep():
     for n in range(1, 1200):
         px = np.full(n, 8, dtype=np.uint8)
         assert np.array_equal(_lzw_decode(4, _lzw_encode(4, px), n), px), n
+
+
+def _gif_descriptors(payload: bytes) -> list[tuple[int, int, bool, int]]:
+    """(width, height, interlaced, color-table size) of every image
+    descriptor, found by walking the GIF blocks."""
+    flags = payload[10]
+    gct = 2 << (flags & 7) if flags & 0x80 else 0
+    pos = 13 + 3 * gct
+    out = []
+    while payload[pos] != 0x3B:
+        if payload[pos] == 0x21:
+            pos += 2
+        else:
+            w, h = struct.unpack("<HH", payload[pos + 5:pos + 9])
+            iflags = payload[pos + 9]
+            lct = 2 << (iflags & 7) if iflags & 0x80 else 0
+            out.append((w, h, bool(iflags & 0x40), lct or gct))
+            pos += 10 + 3 * lct + 1
+        while payload[pos]:
+            pos += 1 + payload[pos]
+        pos += 1
+    return out
+
+
+def test_gif_decodes_stdlib_icons():
+    """Every GIF shipped in the stdlib's idlelib/Icons (written by other
+    encoders, two of them interlaced) decodes, one frame per descriptor
+    with the descriptor's size and in-palette indices."""
+    import glob
+    import os
+
+    import idlelib
+    import numpy as np
+
+    from lighthouse_ray.functions.multimodal import decode_gif_frames
+
+    icons = os.path.join(os.path.dirname(idlelib.__file__), "Icons")
+    paths = sorted(glob.glob(os.path.join(icons, "*.gif")))
+    assert len(paths) == 9
+    frames = {}
+    n_interlaced = 0
+    for path in paths:
+        payload = open(path, "rb").read()
+        descs = _gif_descriptors(payload)
+        got = decode_gif_frames(payload)
+        assert len(got) == len(descs), path
+        for f, (w, h, interlaced, ncol) in zip(got, descs):
+            assert f.shape == (h, w), path
+            assert int(f.max()) < ncol, path
+            n_interlaced += interlaced
+        frames[os.path.basename(path)] = got[0]
+    assert n_interlaced == 2
+    # the plus and minus tree-node icons differ exactly in the plus
+    # sign's vertical stroke: rows 3-7 but the shared centre, column 5
+    plus, minus = frames["plusnode.gif"], frames["minusnode.gif"]
+    assert plus.shape == minus.shape == (11, 11)
+    assert [tuple(x) for x in np.argwhere(plus != minus)] == [
+        (3, 5), (4, 5), (6, 5), (7, 5)]
+
+
+def test_gif_interlaced_rows_reordered():
+    """An interlaced frame stores rows in 4 passes (every 8th row from
+    0, every 8th from 4, every 4th from 2, every 2nd from 1); the decoder
+    returns them in display order."""
+    import numpy as np
+
+    from lighthouse_ray.functions.multimodal import _lzw_encode, decode_gif_frames
+
+    for h in (1, 2, 3, 5, 8, 13, 20):
+        w = 7
+        img = (np.arange(h * w, dtype=np.int64).reshape(h, w) * 5 % 16).astype(np.uint8)
+        stored = np.concatenate([img[0::8], img[4::8], img[2::4], img[1::2]])
+        enc = _lzw_encode(4, stored)
+        gif = bytearray(b"GIF89a" + struct.pack("<HHBBB", w, h, 0x83, 0, 0))
+        gif += bytes(range(48))  # 16-entry global color table
+        gif += b"\x2c" + struct.pack("<HHHHB", 0, 0, w, h, 0x40) + b"\x04"
+        for i in range(0, len(enc), 255):
+            gif += bytes([len(enc[i:i + 255])]) + enc[i:i + 255]
+        gif += b"\x00\x3b"
+        (got,) = decode_gif_frames(bytes(gif))
+        assert np.array_equal(got, img), h
+
+
+_ADAM7 = ((0, 0, 8, 8), (4, 0, 8, 8), (0, 4, 4, 8), (2, 0, 4, 4),
+          (0, 2, 2, 4), (1, 0, 2, 2), (0, 1, 1, 2))
+
+
+def _png_of(img, bit_depth: int, color_type: int, interlace: int = 0,
+            trim: int = 0) -> bytes:
+    """PNG whose scanlines are packed with np.packbits from ``img``
+    ((h, w) or (h, w, channels) samples), Adam7 reduced images cut by
+    slicing; ``trim`` drops bytes from the end of the raw stream."""
+    import numpy as np
+
+    from lighthouse_ray.functions.multimodal import _PNG_SIG, _png_chunk
+
+    img = np.asarray(img, dtype=np.uint8)
+    h, w = img.shape[:2]
+    subs = ([img[y0::dy, x0::dx] for x0, y0, dx, dy in _ADAM7]
+            if interlace else [img])
+    shifts = np.arange(bit_depth - 1, -1, -1)
+    raw = bytearray()
+    for sub in subs:
+        for row in sub:
+            if row.size:
+                bits = (row.reshape(-1)[:, None] >> shifts) & 1
+                raw += b"\x00" + np.packbits(bits.astype(np.uint8)).tobytes()
+    raw = bytes(raw[:len(raw) - trim])
+    ihdr = struct.pack(">IIBBBBB", w, h, bit_depth, color_type, 0, 0, interlace)
+    plte = _png_chunk(b"PLTE", bytes(range(48))) if color_type == 3 else b""
+    return (_PNG_SIG + _png_chunk(b"IHDR", ihdr) + plte
+            + _png_chunk(b"IDAT", zlib.compress(raw)) + _png_chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("bit_depth,color_type,w,h", [
+    (1, 0, 8, 4), (1, 0, 13, 3), (2, 0, 5, 6), (4, 0, 9, 2),
+    (1, 3, 10, 3), (2, 3, 7, 7), (4, 3, 3, 5)])
+def test_png_low_bit_depth(bit_depth, color_type, w, h):
+    """Samples below 8 bits pack several pixels per byte; each scanline
+    is one filter byte plus ceil(bits * width / 8) bytes."""
+    import numpy as np
+
+    img = np.arange(w * h).reshape(h, w) % (1 << bit_depth)
+    assert decode_png(_png_of(img, bit_depth, color_type)) == (w, h, 1)
+    with pytest.raises(ValueError, match="pixel payload"):
+        decode_png(_png_of(img, bit_depth, color_type, trim=1))
+
+
+@pytest.mark.parametrize("bit_depth,color_type,shape", [
+    (8, 2, (3, 5, 3)), (8, 6, (9, 10, 4)), (1, 0, (1, 1)), (2, 0, (7, 3)),
+    (4, 3, (17, 11)), (16, 0, (4, 6)), (8, 0, (2, 9))])
+def test_png_adam7_interlaced(bit_depth, color_type, shape):
+    """Adam7 stores 7 reduced images, each with its own scanlines; the
+    raw size is the sum over the non-empty passes."""
+    import numpy as np
+
+    img = np.arange(int(np.prod(shape))).reshape(shape) % (1 << min(bit_depth, 8))
+    p = _png_of(img, bit_depth, color_type, interlace=1)
+    h, w = shape[:2]
+    assert decode_png(p) == (w, h, shape[2] if len(shape) == 3 else 1)
+    # the same samples stored without interlacing have a different
+    # raw size, so the Adam7 flag is what makes the payload valid
+    flat = _png_of(img, bit_depth, color_type, interlace=0)
+    if len(zlib.decompress(_idat(flat))) != len(zlib.decompress(_idat(p))):
+        with pytest.raises(ValueError, match="pixel payload"):
+            decode_png(_replace_idat(p, _idat(flat)))
+    with pytest.raises(ValueError, match="pixel payload"):
+        decode_png(_png_of(img, bit_depth, color_type, interlace=1, trim=1))
+
+
+def test_png_rejects_bad_header_fields():
+    import numpy as np
+
+    img = np.zeros((2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="bit depth"):
+        decode_png(_png_of(img, 4, 2))  # RGB must be 8 or 16 bits
+    p = bytearray(_png_of(img, 8, 0))
+    p[28] = 2  # interlace methods are 0 and 1 only
+    with pytest.raises(ValueError, match="interlace"):
+        decode_png(bytes(p))
