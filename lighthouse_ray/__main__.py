@@ -17,10 +17,14 @@ import json
 import sys
 
 
-def _init_ray(num_cpus: int | None):
+def _init_ray(num_cpus: int | None) -> bool:
+    """Start a local Ray session unless the caller already runs one.
+    True when this call started it, so the command must shut it down
+    (an in-process caller's session is left running)."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = dict(address="local", include_dashboard=False,
                       ignore_reinit_error=True, logging_level="ERROR")
         if num_cpus:
@@ -29,6 +33,7 @@ def _init_ray(num_cpus: int | None):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    return started
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
 
     if args.cmd == "serve":
-        _init_ray(args.num_cpus)
+        owns_ray = _init_ray(args.num_cpus)
         import ray
 
         from .query.http_server import LighthouseHTTPServer
@@ -114,11 +119,12 @@ def main(argv: list[str] | None = None) -> int:
             pass
         finally:
             srv.stop()
-            ray.shutdown()
+            if owns_ray:
+                ray.shutdown()
         return 0
 
     if args.cmd == "sync":
-        _init_ray(args.num_cpus)
+        owns_ray = _init_ray(args.num_cpus)
         import ray
 
         from .config import IndexConfig
@@ -135,11 +141,12 @@ def main(argv: list[str] | None = None) -> int:
             on_cycle=lambda i, r: print(json.dumps({"cycle": i, **r}), flush=True),
         )
         print(json.dumps({"cycles": len(results), "live": daemon.gens["live"]}))
-        ray.shutdown()
+        if owns_ray:
+            ray.shutdown()
         return 0
 
     if args.cmd == "build":
-        _init_ray(args.num_cpus)
+        owns_ray = _init_ray(args.num_cpus)
         import ray
 
         from .build import build_index
@@ -152,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
             resume=args.resume,
         )
         print(json.dumps({"n_docs": res.n_docs, "n_postings": res.n_postings, "index": res.index_dir}))
-        ray.shutdown()
+        if owns_ray:
+            ray.shutdown()
         return 0
 
     from .index import IndexReader

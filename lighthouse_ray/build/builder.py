@@ -84,8 +84,8 @@ def build_index(
             shutil.rmtree(os.path.join(index_dir, sub), ignore_errors=True)
     # a resume with a different LAYOUT config would mix incompatible
     # partitioning/encoding decisions into one index — refuse loudly.
-    # ("extra" holds execution knobs, e.g. exchange mode or test fault
-    # injection, and may legitimately differ between attempts.)
+    # ("extra" holds only the test fault-injection knob ``fail_files``,
+    # which may legitimately differ between attempts.)
     layout_keys = (
         "num_doc_parts", "num_term_shards", "k1", "b", "block_size",
         "hot_df_ratio", "salt_range", "df_sample_mod", "dl_shift",
@@ -443,12 +443,10 @@ def build_index(
     atomic_write_json(_manifest_path(index_dir), manifest)
 
     # ---- stats.json from the doclen-bucket manifest rows ---------------------
-    import json as _json
-
     totals = {f: 0 for f in FIELDS}
     for k, v in seg_done.items():
         if int(k) < 0 and v.get("extra"):
-            for f, t in _json.loads(v["extra"]).items():
+            for f, t in json.loads(v["extra"]).items():
                 totals[f] = totals.get(f, 0) + int(t)
     from ..config import FORMAT_VERSION
 

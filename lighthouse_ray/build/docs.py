@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig
-from ..util import atomic_write_bytes, limit_worker_threads
+from ..util import atomic_write_bytes, limit_worker_threads, spill_bytes, spill_runs
 
 # five-year release_time window ending at the frozen "now" (FIXTURES.md §1)
 _RELEASE_LO = 1_609_459_200  # 2021-01-01
@@ -174,9 +174,7 @@ def derive_batch(
             "content": content,
         }
     )
-    sink = pa.BufferOutputStream()
-    pq.write_table(payload, sink, compression="zstd", compression_level=1, write_statistics=False)
-    atomic_write_bytes(os.path.join(payload_dir, fname), sink.getvalue().to_pybytes())
+    atomic_write_bytes(os.path.join(payload_dir, fname), spill_bytes(payload))
 
     # deterministic 1/df_sample_mod content sample, spilled alongside so the
     # hot-term estimate never re-reads the full payload (membership by
@@ -192,11 +190,7 @@ def derive_batch(
                 "content": content.filter(pa.array(sample_mask)),
             }
         )
-        sink2 = pa.BufferOutputStream()
-        pq.write_table(sample, sink2, compression="zstd", compression_level=1, write_statistics=False)
-        atomic_write_bytes(
-            os.path.join(payload_dir + "_dfsample", fname), sink2.getvalue().to_pybytes()
-        )
+        atomic_write_bytes(os.path.join(payload_dir + "_dfsample", fname), spill_bytes(sample))
     cols["payload_file"] = pa.array([fname] * n, type=pa.string())
     cols["payload_row"] = pa.array(np.arange(n, dtype=np.int64))
     out = pa.table(cols)
@@ -206,39 +200,23 @@ def derive_batch(
     # map-side partitioning of the ~150 B/row metadata: one content-
     # addressed file per (batch, part) — the partitioning "shuffle" is a
     # partitioned spill + per-part finalize task, no all-to-all sort
-    # (same exchange pattern as the postings spill)
-    order = np.argsort(part, kind="stable")
-    ts = out.take(pa.array(order))
-    part_s = part[order]
-    rows = {"part": [], "file": [], "rows": [], "bytes": [], "sha256": []}
-    m = len(part_s)
-    if m:
-        change = np.empty(m, dtype=bool)
-        change[0] = True
-        np.not_equal(part_s[1:], part_s[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], m)
-        for s, e in zip(starts, ends):
-            p = int(part_s[s])
-            sub = ts.slice(s, e - s).combine_chunks()
-            sink3 = pa.BufferOutputStream()
-            pq.write_table(sub, sink3, compression="zstd", compression_level=1, write_statistics=False)
-            data = sink3.getvalue().to_pybytes()
-            digest = hashlib.sha256(data).hexdigest()
-            pfname = f"{digest[:24]}.parquet"
-            atomic_write_bytes(os.path.join(meta_spill_dir, f"part={p}", pfname), data)
-            rows["part"].append(p)
-            rows["file"].append(pfname)
-            rows["rows"].append(e - s)
-            rows["bytes"].append(len(data))
-            rows["sha256"].append(digest)
+    # (the same spill writer as the postings spill)
+    runs = spill_runs(
+        out, part, lambda p, sha: os.path.join(meta_spill_dir, f"part={p}", f"{sha[:24]}.parquet")
+    )
+    return spill_manifest(runs, "part")
+
+
+def spill_manifest(runs: list[tuple], key_col: str) -> pa.Table:
+    """Spill-manifest rows (build lineage) for :func:`spill_runs` output:
+    ``(key_col, file, rows, bytes, sha256)`` per written run."""
     return pa.table(
         {
-            "part": pa.array(rows["part"], type=pa.int32()),
-            "file": pa.array(rows["file"], type=pa.string()),
-            "rows": pa.array(rows["rows"], type=pa.int64()),
-            "bytes": pa.array(rows["bytes"], type=pa.int64()),
-            "sha256": pa.array(rows["sha256"], type=pa.string()),
+            key_col: pa.array([r[0] for r in runs], type=pa.int32()),
+            "file": pa.array([os.path.basename(r[1]) for r in runs], type=pa.string()),
+            "rows": pa.array([r[2] for r in runs], type=pa.int64()),
+            "bytes": pa.array([r[3] for r in runs], type=pa.int64()),
+            "sha256": pa.array([r[4] for r in runs], type=pa.string()),
         }
     )
 
@@ -428,36 +406,21 @@ def write_ordmap_sidecars(index_dir: str, out: pa.Table, part: int,
     pf = out["payload_file"].combine_chunks().dictionary_encode()
     codes = pf.indices.to_numpy(zero_copy_only=False)
     files = pf.dictionary.to_pylist()
-    n = len(codes)
-    if n == 0:
-        return
-    grp_of_code = np.array([_ordmap_grp(f, groups) for f in files], dtype=np.int64)
-    grp = grp_of_code[codes]
+    grp = np.array([_ordmap_grp(f, groups) for f in files], dtype=np.int64)[codes]
     rows = out["payload_row"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ranks = out["rank"].to_numpy(zero_copy_only=False)
     order = np.lexsort((rows, codes, grp))
-    codes_s, rows_s, ranks_s, grp_s = codes[order], rows[order], ranks[order], grp[order]
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(grp_s[1:], grp_s[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
+    tbl = pa.table(
+        {
+            "payload_file": pc.take(pa.array(files, type=pa.string()), pa.array(codes[order])),
+            "payload_row": pa.array(rows[order]),
+            "rank": out["rank"].take(pa.array(order)),
+        }
+    )
     spill_dir = os.path.join(index_dir, "ordmap_spill")
-    file_col_all = pc.take(pa.array(files, type=pa.string()), pa.array(codes_s))
-    for s, e in zip(starts, ends):
-        tbl = pa.table(
-            {
-                "payload_file": file_col_all.slice(s, e - s),
-                "payload_row": pa.array(rows_s[s:e]),
-                "rank": pa.array(ranks_s[s:e]),
-            }
-        )
-        sink = pa.BufferOutputStream()
-        pq.write_table(tbl, sink, compression="zstd", compression_level=1, write_statistics=False)
-        atomic_write_bytes(
-            os.path.join(spill_dir, f"grp={int(grp_s[s])}", f"part-{part:05d}.parquet"),
-            sink.getvalue().to_pybytes(),
-        )
+    spill_runs(
+        tbl, grp[order],
+        lambda g, _sha: os.path.join(spill_dir, f"grp={g}", f"part-{part:05d}.parquet"),
+    )
 
 
 def compact_ordmap_group(index_dir: str, grp: int) -> int:
@@ -488,35 +451,11 @@ def compact_ordmap_group(index_dir: str, grp: int) -> int:
         pf = t["payload_file"].combine_chunks().dictionary_encode()
         codes = pf.indices.to_numpy(zero_copy_only=False)
         files = pf.dictionary.to_pylist()
-        rows = t["payload_row"].to_numpy(zero_copy_only=False)
-        parts_col = t["part"].to_numpy(zero_copy_only=False)
-        ranks = t["rank"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((rows, codes))
-        codes_s, rows_s, parts_s, ranks_s = (
-            codes[order], rows[order], parts_col[order], ranks[order]
-        )
-        n = len(codes_s)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(codes_s[1:], codes_s[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        for s, e in zip(starts, ends):
-            tbl = pa.table(
-                {
-                    "payload_row": pa.array(rows_s[s:e]),
-                    "part": pa.array(parts_s[s:e].astype(np.int32)),
-                    "rank": pa.array(ranks_s[s:e]),
-                }
-            )
-            sink = pa.BufferOutputStream()
-            pq.write_table(tbl, sink, compression="zstd", compression_level=1,
-                           write_statistics=False)
-            atomic_write_bytes(
-                _sidecar_path(ordmap_dir, files[int(codes_s[s])]),
-                sink.getvalue().to_pybytes(),
-            )
-            written += 1
+        order = np.lexsort((t["payload_row"].to_numpy(zero_copy_only=False), codes))
+        written = len(spill_runs(
+            t.select(["payload_row", "part", "rank"]).take(pa.array(order)), codes[order],
+            lambda c, _sha: _sidecar_path(ordmap_dir, files[c]),
+        ))
     import shutil
 
     shutil.rmtree(gdir, ignore_errors=True)

@@ -51,7 +51,8 @@ from ..codecs import (
     varbyte_sizes,
 )
 from ..config import FIELDS, IndexConfig
-from ..util import atomic_write_bytes, limit_worker_threads, stable_hash64
+from ..util import atomic_write_bytes, limit_worker_threads, spill_runs, stable_hash64
+from .docs import spill_manifest
 
 # doc-store column feeding each indexed field
 FIELD_SOURCE = {"name": "name", "title": "path", "channel": "repo", "content": "content"}
@@ -120,48 +121,15 @@ class TokenizerStage:
 
     def _spill(self, t: pa.Table) -> pa.Table:
         """Map-side exchange: split this batch's postings by shard group
-        and write one content-addressed zstd-1 parquet per non-empty group
+        and write one content-addressed spill per non-empty group
         (idempotent under task retries: file name = hash of bytes).
         Returns the spill-manifest rows (lineage for the build manifest)."""
-        G = self.cfg.shard_groups
-        shard = t["shard"].to_numpy(zero_copy_only=False)
-        grp = shard_group(shard, G)
-        order = np.argsort(grp, kind="stable")
-        ts = t.take(pa.array(order))
-        grp_s = grp[order]
-        n = len(grp_s)
-        rows = {"grp": [], "file": [], "rows": [], "bytes": [], "sha256": []}
-        if n:
-            change = np.empty(n, dtype=bool)
-            change[0] = True
-            np.not_equal(grp_s[1:], grp_s[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], n)
-            for s, e in zip(starts, ends):
-                g = int(grp_s[s])
-                sub = ts.slice(s, e - s).combine_chunks()
-                sink = pa.BufferOutputStream()
-                pq.write_table(sub, sink, compression="zstd", compression_level=1, write_statistics=False)
-                data = sink.getvalue().to_pybytes()
-                digest = hashlib.sha256(data).hexdigest()
-                fname = f"{digest[:24]}.parquet"
-                atomic_write_bytes(
-                    os.path.join(self.spill_dir, f"grp={g}", fname), data
-                )
-                rows["grp"].append(g)
-                rows["file"].append(fname)
-                rows["rows"].append(e - s)
-                rows["bytes"].append(len(data))
-                rows["sha256"].append(digest)
-        return pa.table(
-            {
-                "grp": pa.array(rows["grp"], type=pa.int32()),
-                "file": pa.array(rows["file"], type=pa.string()),
-                "rows": pa.array(rows["rows"], type=pa.int64()),
-                "bytes": pa.array(rows["bytes"], type=pa.int64()),
-                "sha256": pa.array(rows["sha256"], type=pa.string()),
-            }
+        grp = shard_group(t["shard"].to_numpy(zero_copy_only=False), self.cfg.shard_groups)
+        runs = spill_runs(
+            t, grp,
+            lambda g, sha: os.path.join(self.spill_dir, f"grp={g}", f"{sha[:24]}.parquet"),
         )
+        return spill_manifest(runs, "grp")
 
     # -- per-field vectorized posting construction ------------------------
 
@@ -328,9 +296,9 @@ def tokenize_file_task(
 
     from .docs import file_ordinals
 
-    # key includes the full cfg: a resume may re-run with different
-    # execution knobs (cfg.extra) on the same dirs and must not reuse a
-    # stage memoized from the previous attempt
+    # key includes the full cfg: a resume may re-run with a different
+    # cfg.extra (the test fault-injection list ``fail_files``) on the same
+    # dirs and must not reuse a stage memoized from the previous attempt
     key = f"{ordmap_dir}|{spill_dir}|{_json.dumps(cfg_json, sort_keys=True, default=str)}|{sorted(hot_terms)}"
     st = _TASK_STAGE.get(key)
     if st is None:

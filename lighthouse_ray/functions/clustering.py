@@ -267,8 +267,8 @@ def semdedup(ds, *, k: int = 8, iters: int = 3, threshold: float = 0.4,
     only in the output, so no float ever reaches the hash)."""
     import ray
 
+    from ..util import run_bounds
     from .exchange import spill_exchange
-    from .packing import _run_starts
 
     ds_q = _quant_ds(ds, scale=scale, offset=offset, id_col=id_col, vec_col=vec_col)
     cent = _fit(ds_q, k, iters, id_col)
@@ -310,11 +310,10 @@ def semdedup(ds, *, k: int = 8, iters: int = 3, threshold: float = 0.4,
         vec = vec.combine_chunks() if isinstance(vec, pa.ChunkedArray) else vec
         m = vec.flatten().to_numpy(zero_copy_only=False).reshape(t.num_rows, -1)
         keep = np.ones(t.num_rows, dtype=bool)
-        starts = _run_starts(cl)
-        bounds = np.append(starts, t.num_rows)
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
+        for s, n in zip(*run_bounds(cl)):
+            if n < 2:
                 continue
+            e = s + n
             sims = m[s:e] @ m[s:e].T
             keep[s:e] = ~np.triu(sims >= threshold, k=1).any(axis=0)
         out = t.filter(pa.array(keep))

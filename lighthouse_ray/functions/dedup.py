@@ -44,6 +44,7 @@ import pyarrow.parquet as pq
 
 from ..analysis import flat_tokens
 from ..index.reader import _popcount64
+from ..util import atomic_write_bytes, run_bounds, spill_bytes
 from .exchange import combine_hashes, spill_exchange
 
 # fixed seeded 64-bit affine hashers for minhash (a*x+b mod p)
@@ -112,21 +113,6 @@ def doc_shingles(batch: pa.Table, text_col: str, id_col: str, n: int) -> pa.Tabl
     return pa.table(
         {"id": pc.take(ids, d["p"]), "sh": d["sh"], "nsh": pa.array(counts[p_out])}
     )
-
-
-def _run_bounds(keys) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, lengths) of equal-value runs in an already-sorted Arrow
-    array (works for strings and ints — comparison stays in Arrow)."""
-    m = len(keys)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    neq = pc.not_equal(keys.slice(1), keys.slice(0, m - 1)).to_numpy(zero_copy_only=False)
-    change = np.empty(m, dtype=bool)
-    change[0] = True
-    change[1:] = neq
-    starts = np.flatnonzero(change)
-    lens = np.diff(np.append(starts, m))
-    return starts, lens
 
 
 def _pair_indices(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +256,7 @@ def _shingle_pairs_reduce(max_df: int | None, pair_bloom_ref=None,
         if t.num_rows == 0:
             return empty
         t = t.sort_by([("sh", "ascending"), ("id", "ascending")]).combine_chunks()
-        starts, lens = _run_bounds(t["sh"].combine_chunks())
+        starts, lens = run_bounds(t["sh"].combine_chunks())
         keep = lens >= 2
         if max_df is not None:
             hot = lens > max_df
@@ -989,7 +975,7 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
         if min_agree:
             cols["sig8"] = t["sig8"]
         key = pa.table(cols).sort_by([("k", "ascending"), ("id", "ascending")])
-        starts, lens = _run_bounds(key["k"].combine_chunks())
+        starts, lens = run_bounds(key["k"].combine_chunks())
         if min_agree:
             sigb = _fsb_bytes(key["sig8"], num_perm)
             a_idx, b_idx = _filtered_run_pairs(sigb, starts, lens, min_agree)
@@ -1246,8 +1232,6 @@ def minhash_index_write(ds, index_dir: str, *, text_col: str = "text",
         "parts": {str(p): sorted(fs) for p, fs in part_files.items()},
         "shingle_parts": {str(p): sorted(fs) for p, fs in sh_files.items()},
     }
-    from ..util import atomic_write_bytes
-
     atomic_write_bytes(
         os.path.join(index_dir, "meta.json"),
         json.dumps(meta, sort_keys=True).encode(),
@@ -1651,7 +1635,7 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
                 "simhash": t["simhash"],
             }
         ).sort_by([("k", "ascending"), ("id", "ascending")])
-        starts, lens = _run_bounds(key["k"].combine_chunks())
+        starts, lens = run_bounds(key["k"].combine_chunks())
         a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
         if len(a_idx) == 0:
             return empty
@@ -1720,8 +1704,6 @@ def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
         names flow to the driver (no row data leaves the workers)."""
         import hashlib as _h
 
-        from ..util import atomic_write_bytes
-
         if batch.num_rows == 0:
             return pa.table({"file": pa.array([], type=pa.string())})
         emb = batch[vec_col].combine_chunks()
@@ -1737,9 +1719,7 @@ def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                 ),
             }
         )
-        sink = pa.BufferOutputStream()
-        pq.write_table(t, sink, compression="zstd", compression_level=1)
-        data = sink.getvalue().to_pybytes()
+        data = spill_bytes(t)
         # unique per attempt (manifest-listed, so identical blocks never
         # collapse and failed-attempt orphans are ignored)
         fname = f"{uuid.uuid4().hex[:16]}-{_h.sha256(data).hexdigest()[:12]}.parquet"
@@ -1881,8 +1861,7 @@ def embedding_lsh_pairs(ds, threshold: float = 0.9, id_col: str = "vec_id",
         )
         order = np.lexsort((t["id"].to_numpy(zero_copy_only=False), k))
         t = t.take(pa.array(order)).combine_chunks()
-        ks = pa.array(k[order])
-        starts, lens = _run_bounds(ks)
+        starts, lens = run_bounds(k[order])
         a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
         if len(a_idx) == 0:
             return empty
@@ -2082,7 +2061,7 @@ def connected_components(edges, nodes, max_rounds: int = 32, num_parts: int = 32
         if t.num_rows == 0:
             return t.select(["id", "cluster"])
         t = t.sort_by([("id", "ascending"), ("cluster", "ascending")]).combine_chunks()
-        starts, _lens = _run_bounds(t["id"].combine_chunks())
+        starts, _lens = run_bounds(t["id"].combine_chunks())
         return t.take(pa.array(starts)).select(["id", "cluster"])
 
     # the label-exchange map pass fully consumes the final round's
@@ -2137,7 +2116,7 @@ def substring_dup_docs(ds, *, k: int, text_col: str = "text",
         t = t.sort_by([("sh", "ascending")])
         sh = t["sh"]
         sh = sh.combine_chunks() if isinstance(sh, pa.ChunkedArray) else sh
-        starts, lens = _run_bounds(sh)
+        starts, lens = run_bounds(sh)
         keep = np.repeat(lens >= 2, lens)
         ids = t["id"].to_numpy(zero_copy_only=False)[keep]
         if len(ids) == 0:
@@ -2219,7 +2198,7 @@ def substring_dup_spans(ds, *, k: int, text_col: str = "text",
         if t.num_rows == 0:
             return empty_kept
         t = t.sort_by([("sh", "ascending"), ("id", "ascending")])
-        starts, lens = _run_bounds(t["sh"].combine_chunks())
+        starts, lens = run_bounds(t["sh"].combine_chunks())
         ids = t["id"].to_numpy(zero_copy_only=False)
         # distinct docs per gram run = count of id-change boundaries
         newdoc = np.empty(len(ids), dtype=np.int64)
@@ -2458,7 +2437,7 @@ def boilerplate_strip(ds, *, min_docs: int, min_len: int = 8, sep: str = "\n",
             return out_schema.empty_table()
         t = t.sort_by([("id", "ascending"), ("idx", "ascending")]).combine_chunks()
         ids = t["id"].combine_chunks()
-        starts, lens = _run_bounds(ids)
+        starts, lens = run_bounds(ids)
         keep = t["keep"].combine_chunks().to_numpy(zero_copy_only=False)
         n_rem = np.add.reduceat((~keep).astype(np.int64), starts)
         kept_counts = lens - n_rem

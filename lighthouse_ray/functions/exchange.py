@@ -1,13 +1,14 @@
 """Generic map-side hash-partitioned spill exchange.
 
 The same exchange pattern the index build uses for its two wide
-shuffles (build/postings.py stage B/D): map tasks split every batch by
-a routing hash of the key column and write one content-addressed
-zstd-1 parquet file per non-empty partition; the reduce side is one
-task per partition, with every key's rows fully co-located.  No
-all-to-all sort anywhere; the reduce is embarrassingly parallel per
-partition, and partition count is configuration (never derived from
-cluster size), so results are layout- and parallelism-independent.
+shuffles (build/postings.py stage B/D), through the same writer
+(``util.spill_runs``): map tasks split every batch by a routing hash of
+the key column and write one call-unique spill file per non-empty
+partition; the reduce side is one task per partition, with every key's
+rows fully co-located.  No all-to-all sort anywhere; the reduce is
+embarrassingly parallel per partition, and partition count is
+configuration (never derived from cluster size), so results are
+layout- and parallelism-independent.
 
 Used by the near-dup family (shingle pair-counting, connected-
 components star rounds) — anywhere the per-group work is vectorizable
@@ -22,16 +23,14 @@ values inside the partition.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import uuid
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..util import atomic_write_bytes
+from ..util import spill_runs
 
 
 def xchg_base() -> str:
@@ -86,7 +85,7 @@ def combine_hashes(*hs: np.ndarray) -> np.ndarray:
 
 class _SpillMap:
     """Map side: split a batch by partition and spill each slice as one
-    content-addressed zstd-1 parquet (idempotent under task retries).
+    call-unique spill file (``util.spill_runs``).
 
     With ``digest_cols`` set, each call also emits one ``part=-2``
     sentinel row carrying ``"{rows}:{xor:x}"`` — a (count, xor) multiset
@@ -123,15 +122,6 @@ class _SpillMap:
             rows_file.append(f"{batch.num_rows}:{x:x}")
             rows_n.append(0)
         if batch.num_rows:
-            part = self._parts(batch)
-            order = np.argsort(part, kind="stable")
-            ts = batch.take(pa.array(order))
-            part_s = part[order]
-            change = np.empty(len(part_s), dtype=bool)
-            change[0] = True
-            np.not_equal(part_s[1:], part_s[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(part_s))
             # one uuid per map call: files are unique per attempt, and the
             # reduce reads ONLY manifest-listed files (from successful
             # attempts), so identical-content batches never collapse and
@@ -140,17 +130,13 @@ class _SpillMap:
             # merge byte-identical spills from different batches and
             # silently break multiset semantics)
             call_id = uuid.uuid4().hex[:16]
-            for s, e in zip(starts, ends):
-                p = int(part_s[s])
-                sub = ts.slice(s, e - s).combine_chunks()
-                sink = pa.BufferOutputStream()
-                pq.write_table(sub, sink, compression="zstd", compression_level=1, write_statistics=False)
-                data = sink.getvalue().to_pybytes()
-                fname = f"{call_id}-{hashlib.sha256(data).hexdigest()[:12]}.parquet"
-                atomic_write_bytes(os.path.join(self.root, f"part={p}", fname), data)
+            for p, path, n, _b, _sha in spill_runs(
+                batch, self._parts(batch),
+                lambda p, sha: os.path.join(self.root, f"part={p}", f"{call_id}-{sha[:12]}.parquet"),
+            ):
                 rows_part.append(p)
-                rows_file.append(fname)
-                rows_n.append(sub.num_rows)
+                rows_file.append(os.path.basename(path))
+                rows_n.append(n)
         return pa.table(
             {
                 "part": pa.array(rows_part, type=pa.int32()),

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .dedup import _run_bounds
+from ..util import atomic_write_bytes, run_bounds, spill_bytes
 from .exchange import spill_exchange
 
 PR_SCALE = 10**12
@@ -199,15 +199,9 @@ def pagerank(edges, nodes, iters: int = 3, damping_pct: int = 85,
                     np.add.at(c, idx[ok], gc[ok])
                 rank = base + (damping_pct * c) // 100
                 out = pa.table({"node": pa.array(node), "rank": pa.array(rank)})
-                sink = pa.BufferOutputStream()
-                pq.write_table(out, sink, compression="zstd", compression_level=1,
-                               write_statistics=False)
-                data = sink.getvalue().to_pybytes()
                 fname = f"state-{uuid.uuid4().hex[:12]}.parquet"
-                from ..util import atomic_write_bytes
-
                 atomic_write_bytes(
-                    os.path.join(run_root, next_sub, f"part={p}", fname), data
+                    os.path.join(run_root, next_sub, f"part={p}", fname), spill_bytes(out)
                 )
                 rows_part.append(p)
                 rows_file.append(fname)
@@ -316,7 +310,7 @@ def triangle_count(edges, num_parts: int = 32, degree_relabel: bool = True,
             return empty
         t = t.sort_by(sort_cols).combine_chunks()
         nbr = t["b"].to_numpy()
-        starts, lens = _run_bounds(t["a"].combine_chunks())
+        starts, lens = run_bounds(t["a"].combine_chunks())
         m = lens * (lens - 1) // 2
         total = int(m.sum())
         if total == 0:
@@ -372,7 +366,7 @@ def triangle_count(edges, num_parts: int = 32, degree_relabel: bool = True,
         key = pc.binary_join_element_wise(
             pc.cast(t["y"], pa.string()), pc.cast(t["z"], pa.string()), ":"
         )
-        starts, lens = _run_bounds(key)
+        starts, lens = run_bounds(key)
         is_e = t["is_edge"].to_numpy().astype(np.int64)
         cs = np.concatenate([[0], np.cumsum(is_e)])
         has_edge = (cs[starts + lens] - cs[starts]) > 0
@@ -446,7 +440,7 @@ def _degree_orient(canon_edges, num_parts: int):
             if t.num_rows == 0:
                 return pa.table(cols)
             t = t.sort_by([("k", "ascending"), ("is_deg", "descending")]).combine_chunks()
-            starts, lens = _run_bounds(t["k"].combine_chunks())
+            starts, lens = run_bounds(t["k"].combine_chunks())
             d = t["d"].to_numpy(zero_copy_only=False)
             row_deg = d[np.repeat(starts, lens)]  # the deg row leads its run
             is_e = t["is_deg"].to_numpy(zero_copy_only=False) == 0

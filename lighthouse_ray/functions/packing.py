@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..util import run_bounds
 from .exchange import spill_exchange
 
 # Knuth multiplicative hash, exactly mirrored in the SQL oracles via
@@ -60,13 +61,6 @@ def _col(t: pa.Table, name: str) -> np.ndarray:
     c = t[name]
     arr = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
     return arr.to_numpy(zero_copy_only=False)
-
-
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    change = np.empty(len(sorted_keys), dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 def shuffle_shards(ds, id_col: str = "doc_id", n_shards: int = 16,
@@ -107,8 +101,7 @@ def shuffle_shards(ds, id_col: str = "doc_id", n_shards: int = 16,
         ids, key, shard = _col(t, id_col), _col(t, "shuffle_key"), _col(t, "shard")
         order = np.lexsort((ids, key, shard))
         sh = shard[order]
-        starts = _run_starts(sh)
-        counts = np.diff(np.append(starts, len(sh)))
+        starts, counts = run_bounds(sh)
         pos = np.arange(len(sh), dtype=np.int64) - np.repeat(starts, counts)
         return pa.table(
             {
@@ -169,8 +162,7 @@ def seq_pack(ds, id_col: str = "doc_id", n_col: str = "n_tokens",
         order = np.lexsort((ids, bucket))
         bk, nn = bucket[order], n[order]
         excl = np.cumsum(nn) - nn  # exclusive cumsum over the partition
-        starts = _run_starts(bk)
-        counts = np.diff(np.append(starts, len(bk)))
+        starts, counts = run_bounds(bk)
         start_tok = excl - np.repeat(excl[starts], counts)  # rebase per bucket
         return pa.table(
             {

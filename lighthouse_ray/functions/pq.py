@@ -285,14 +285,12 @@ def ivfpq_index(ds_factory, n_clusters: int = 8, m: int = 4, n_codes: int = 8,
     full-probe == flat-PQ invariant exact and testable), then write
     each vector's m codes into its coarse bucket's parquet partition.
     ``ds_factory()`` must return a fresh (id, vec) Dataset per pass."""
-    import hashlib
     import os
     import uuid
 
-    import pyarrow.parquet as pq_
     import ray
 
-    from ..util import atomic_write_bytes
+    from ..util import spill_runs
     from .clustering import _quantize, _to_matrix, kmeans_fit
 
     cent = kmeans_fit(ds_factory(), n_clusters, coarse_iters,
@@ -317,25 +315,13 @@ def ivfpq_index(ds_factory, n_clusters: int = 8, m: int = 4, n_codes: int = 8,
                 id_col: batch[id_col].cast(pa.int64()),
                 "codes": _pa_codes(codes),
             })
-            order = np.argsort(bk, kind="stable")
-            ts = t.take(pa.array(order))
-            bk_s = bk[order]
-            change = np.empty(len(bk_s), dtype=bool)
-            change[0] = True
-            np.not_equal(bk_s[1:], bk_s[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(bk_s))
             call_id = uuid.uuid4().hex[:12]
-            for s, e in zip(starts, ends):
-                g = int(bk_s[s])
-                sub = ts.slice(s, e - s).combine_chunks()
-                sink = pa.BufferOutputStream()
-                pq_.write_table(sub, sink, compression="zstd", compression_level=1)
-                data = sink.getvalue().to_pybytes()
-                fname = f"{call_id}-{hashlib.sha256(data).hexdigest()[:12]}.parquet"
-                atomic_write_bytes(os.path.join(root, f"bucket={g}", fname), data)
+            for g, path, _n, _b, _sha in spill_runs(
+                t, bk,
+                lambda g, sha: os.path.join(root, f"bucket={g}", f"{call_id}-{sha[:12]}.parquet"),
+            ):
                 rows_b.append(g)
-                rows_f.append(fname)
+                rows_f.append(os.path.basename(path))
         return pa.table({"bucket": pa.array(rows_b, type=pa.int32()),
                          "file": pa.array(rows_f, type=pa.string())})
 

@@ -34,7 +34,6 @@ regex pass) but never false negatives.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import uuid
@@ -171,12 +170,10 @@ class TrigramIndex:
     with rows (tri uint32, doc_id) sorted by (tri, doc_id) per file;
     ``p = tri % num_parts``."""
 
-    def __init__(self, root: str, num_parts: int, part_files: dict[int, list[str]],
-                 n_docs: int):
+    def __init__(self, root: str, num_parts: int, part_files: dict[int, list[str]]):
         self.root = root
         self.num_parts = num_parts
         self.part_files = part_files
-        self.n_docs = n_docs
 
 
 def _doc_distinct_trigrams(col) -> tuple[np.ndarray, np.ndarray]:
@@ -210,61 +207,36 @@ def _doc_distinct_trigrams(col) -> tuple[np.ndarray, np.ndarray]:
 
 def build_trigram_index(ds, out_dir: str | None = None, text_col: str = "text",
                         id_col: str = "doc_id", num_parts: int = 64) -> TrigramIndex:
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..util import atomic_write_bytes
+    from ..util import spill_runs
 
     root = out_dir or os.path.join("/tmp/lighthouse_ray_trigram", uuid.uuid4().hex[:16])
     os.makedirs(root, exist_ok=True)
     P = num_parts
 
     def extract_write(batch: pa.Table) -> pa.Table:
-        rows_p, rows_f, rows_n = [], [], []
+        runs = []
         if batch.num_rows:
             tri, doc_of = _doc_distinct_trigrams(batch[text_col])
             ids = batch[id_col].to_numpy(zero_copy_only=False)[doc_of]
-            part = tri % np.uint32(P)
             order = np.lexsort((ids, tri))
-            tri, ids, part = tri[order], ids[order], part[order]
-            # contiguous per part after the tri sort (part = tri % P is
-            # NOT monotone in tri) — group by part explicitly
-            order_p = np.argsort(part, kind="stable")
-            tri, ids, part = tri[order_p], ids[order_p], part[order_p]
-            change = np.empty(len(part), dtype=bool)
-            change[0] = True
-            np.not_equal(part[1:], part[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(part))
+            # spill_runs' stable sort by part keeps the (tri, doc_id) order
+            # inside each part file (part = tri % P is NOT monotone in tri)
             call_id = uuid.uuid4().hex[:12]
-            for s, e in zip(starts, ends):
-                p = int(part[s])
-                t = pa.table({
-                    "tri": pa.array(tri[s:e]),
-                    "doc_id": pa.array(ids[s:e]),
-                })
-                sink = pa.BufferOutputStream()
-                pq.write_table(t, sink, compression="zstd", compression_level=1)
-                data = sink.getvalue().to_pybytes()
-                fname = f"{call_id}-{hashlib.sha256(data).hexdigest()[:12]}.parquet"
-                atomic_write_bytes(os.path.join(root, f"part={p}", fname), data)
-                rows_p.append(p)
-                rows_f.append(fname)
-                rows_n.append(batch.num_rows)
+            runs = spill_runs(
+                pa.table({"tri": pa.array(tri[order]), "doc_id": pa.array(ids[order])}),
+                tri[order] % np.uint32(P),
+                lambda p, sha: os.path.join(root, f"part={p}", f"{call_id}-{sha[:12]}.parquet"),
+            )
         return pa.table({
-            "part": pa.array(rows_p, type=pa.int32()),
-            "file": pa.array(rows_f, type=pa.string()),
-            "n_docs": pa.array(rows_n, type=pa.int64()),
+            "part": pa.array([r[0] for r in runs], type=pa.int32()),
+            "file": pa.array([os.path.basename(r[1]) for r in runs], type=pa.string()),
         })
 
     manifest = ds.map_batches(extract_write, batch_format="pyarrow").take_all()
     part_files: dict[int, list[str]] = {}
-    seen_docs: dict[str, int] = {}
     for r in manifest:
         part_files.setdefault(int(r["part"]), []).append(r["file"])
-        seen_docs[r["file"].split("-")[0]] = int(r["n_docs"])
-    n_docs = sum(seen_docs.values())
-    return TrigramIndex(root, P, {k: sorted(v) for k, v in part_files.items()}, n_docs)
+    return TrigramIndex(root, P, {k: sorted(v) for k, v in part_files.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,7 @@ def knn_graph(ds, k: int = 3, id_col: str = "vec_id", vec_col: str = "embedding"
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ..util import atomic_write_bytes
-    from .dedup import _run_bounds
+    from ..util import atomic_write_bytes, run_bounds, spill_bytes
     from .exchange import spill_exchange, xchg_base
 
     root = os.path.join(xchg_base(), "knn-" + uuid.uuid4().hex[:16])
@@ -115,9 +114,7 @@ def knn_graph(ds, k: int = 3, id_col: str = "vec_id", vec_col: str = "embedding"
                 "vec": pa.FixedSizeListArray.from_arrays(pa.array(m.reshape(-1)), m.shape[1]),
             }
         )
-        sink = pa.BufferOutputStream()
-        pq.write_table(t, sink, compression="zstd", compression_level=1)
-        data = sink.getvalue().to_pybytes()
+        data = spill_bytes(t)
         fname = f"{uuid.uuid4().hex[:16]}-{_h.sha256(data).hexdigest()[:12]}.parquet"
         atomic_write_bytes(os.path.join(root, fname), data)
         return pa.table({"file": pa.array([fname], type=pa.string())})
@@ -190,7 +187,7 @@ def knn_graph(ds, k: int = 3, id_col: str = "vec_id", vec_col: str = "embedding"
         c = t["cos"].to_numpy(zero_copy_only=False)
         order = np.lexsort((b, -c, a))
         a, b, c = a[order], b[order], c[order]
-        starts, lens = _run_bounds(pa.array(a))
+        starts, lens = run_bounds(a)
         kk = np.minimum(lens, k)
         cum = np.zeros(len(kk), dtype=np.int64)
         np.cumsum(kk[:-1], out=cum[1:])
@@ -231,7 +228,8 @@ def knn_graph_srp(ds, k: int = 3, tau: float = 0.4, id_col: str = "vec_id",
     """
     import ray.data as rd
 
-    from .dedup import _run_bounds, _srp_planes
+    from ..util import run_bounds
+    from .dedup import _srp_planes
     from .exchange import combine_hashes, spill_exchange
 
     r = num_planes // bands
@@ -279,7 +277,7 @@ def knn_graph_srp(ds, k: int = 3, tau: float = 0.4, id_col: str = "vec_id",
         )
         order = np.lexsort((t["id"].to_numpy(zero_copy_only=False), kh))
         t = t.take(pa.array(order)).combine_chunks()
-        starts, lens = _run_bounds(pa.array(kh[order]))
+        starts, lens = run_bounds(kh[order])
         ids = t["id"].to_numpy(zero_copy_only=False)
         mat = np.asarray(t["vec"].combine_chunks().flatten()).reshape(t.num_rows, -1)
         outs = []
@@ -316,7 +314,7 @@ def knn_graph_srp(ds, k: int = 3, tau: float = 0.4, id_col: str = "vec_id",
         c = g["cos_min"].to_numpy(zero_copy_only=False)
         order = np.lexsort((b, -c, a))
         a, b, c = a[order], b[order], c[order]
-        starts, lens = _run_bounds(pa.array(a))
+        starts, lens = run_bounds(a)
         kk = np.minimum(lens, k)
         cum = np.zeros(len(kk), dtype=np.int64)
         np.cumsum(kk[:-1], out=cum[1:])
@@ -400,11 +398,7 @@ def ivf_index(ds, n_clusters: int = 16, id_col: str = "vec_id",
 
     import ray
 
-    import hashlib
-
-    import pyarrow.parquet as pq
-
-    from ..util import atomic_write_bytes
+    from ..util import spill_runs
     from .clustering import kmeans_fit
 
     cent = kmeans_fit(ds, n_clusters, train_iters, id_col=id_col, vec_col=vec_col)
@@ -421,25 +415,13 @@ def ivf_index(ds, n_clusters: int = 16, id_col: str = "vec_id",
             m = _to_matrix(batch, vec_col)
             d = ((m[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
             bk = d.argmin(axis=1).astype(np.int32)
-            order = np.argsort(bk, kind="stable")
-            ts = batch.take(pa.array(order))
-            bk_s = bk[order]
-            change = np.empty(len(bk_s), dtype=bool)
-            change[0] = True
-            np.not_equal(bk_s[1:], bk_s[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            ends = np.append(starts[1:], len(bk_s))
             call_id = uuid.uuid4().hex[:12]
-            for s, e in zip(starts, ends):
-                g = int(bk_s[s])
-                sub = ts.slice(s, e - s).combine_chunks()
-                sink = pa.BufferOutputStream()
-                pq.write_table(sub, sink, compression="zstd", compression_level=1)
-                data = sink.getvalue().to_pybytes()
-                fname = f"{call_id}-{hashlib.sha256(data).hexdigest()[:12]}.parquet"
-                atomic_write_bytes(os.path.join(root, f"bucket={g}", fname), data)
+            for g, path, _n, _b, _sha in spill_runs(
+                batch, bk,
+                lambda g, sha: os.path.join(root, f"bucket={g}", f"{call_id}-{sha[:12]}.parquet"),
+            ):
                 rows_b.append(g)
-                rows_f.append(fname)
+                rows_f.append(os.path.basename(path))
         return pa.table(
             {
                 "bucket": pa.array(rows_b, type=pa.int32()),

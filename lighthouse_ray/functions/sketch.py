@@ -226,9 +226,9 @@ def kmv_distinct(ds, *, k: int = 64, text_col: str = "text",
     count-distinct via groupby would shuffle the whole vocabulary).
     """
     from ..analysis import flat_tokens as _ft
+    from ..util import run_bounds
     from .dedup import _md5_low64
     from .exchange import spill_exchange
-    from .packing import _run_starts
 
     empty = pa.table({group_col: pa.array([], type=pa.string()),
                       "hv": pa.array([], type=pa.uint64())})
@@ -247,8 +247,7 @@ def kmv_distinct(ds, *, k: int = 64, text_col: str = "text",
         # distinct (group, hash) pairs, then k smallest hashes per group
         pair = np.unique(np.stack([gidx.astype(np.uint64), hv], axis=1), axis=0)
         g, h = pair[:, 0], pair[:, 1]
-        starts = _run_starts(g)
-        counts = np.diff(np.append(starts, len(g)))
+        starts, counts = run_bounds(g)
         keep = (np.arange(len(g)) - np.repeat(starts, counts)) < k
         gd = gcodes.dictionary.to_pylist()
         return pa.table({
@@ -301,8 +300,8 @@ def group_topn_min(ds, *, group_col: str, val_col: str, n: int, num_parts: int =
     use case); repeated values count once per occurrence.  int64
     values, string groups.  Beyond-reference curation op (the
     reference has no sampling; SURVEY §2.6 '— not built' row)."""
+    from ..util import run_bounds
     from .exchange import spill_exchange
-    from .packing import _run_starts
 
     empty = pa.table({group_col: pa.array([], type=pa.string()),
                       val_col: pa.array([], type=pa.int64())})
@@ -311,8 +310,7 @@ def group_topn_min(ds, *, group_col: str, val_col: str, n: int, num_parts: int =
         """Keep the n smallest vals per group (inputs unsorted)."""
         order = np.lexsort((vals, grp_codes))
         g, v = grp_codes[order], vals[order]
-        starts = _run_starts(g)
-        counts = np.diff(np.append(starts, len(g)))
+        starts, counts = run_bounds(g)
         keep = (np.arange(len(g)) - np.repeat(starts, counts)) < n
         return pa.table({
             group_col: pc.take(dictionary, pa.array(g[keep])),

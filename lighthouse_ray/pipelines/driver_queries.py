@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis import flat_tokens, sql_tokens_expr, tokenize_text
+from ..util import run_bounds
 
 TOK = sql_tokens_expr("text")
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
@@ -849,7 +850,6 @@ def q_tfidf_keywords(sf_dir: str):
     ties by term.  Doc-term tf partials join the df table through ONE
     reduce-side shuffle join, then a doc-keyed exchange takes each
     run's head-3 — the same two primitives every wide op here uses."""
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
     from ..functions.joins import shuffle_join
 
@@ -909,7 +909,7 @@ def q_tfidf_keywords(sf_dir: str):
         t = t.sort_by(
             [("doc_id", "ascending"), ("score", "descending"), ("term", "ascending")]
         ).combine_chunks()
-        starts, lens = _run_bounds(t["doc_id"].combine_chunks())
+        starts, lens = run_bounds(t["doc_id"].combine_chunks())
         k = np.minimum(lens, 3)
         cum = np.zeros(len(k), dtype=np.int64)
         np.cumsum(k[:-1], out=cum[1:])
@@ -1489,7 +1489,6 @@ def q_percentiles(sf_dir: str):
     same discrete-rank definition DuckDB's quantile_disc uses, so the
     oracle matches exactly.  Shuffled volume is (langs x distinct
     values), never the row count."""
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1516,7 +1515,7 @@ def q_percentiles(sf_dir: str):
             return empty
         g = t.group_by(["lang", "v"], use_threads=False).aggregate([("c", "sum")])
         g = g.sort_by([("lang", "ascending"), ("v", "ascending")]).combine_chunks()
-        starts, lens = _run_bounds(g["lang"].combine_chunks())
+        starts, lens = run_bounds(g["lang"].combine_chunks())
         c = g["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = g["v"].to_numpy(zero_copy_only=False)
         cum = np.cumsum(c)
@@ -1930,7 +1929,6 @@ def q_group_concat(sf_dir: str):
     exchange; the reduce sorts (key, name) once and joins each run with
     one Arrow ``binary_join`` over a run-offset list array — no
     per-group Python."""
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     def concat_reduce(t: pa.Table) -> pa.Table:
@@ -1946,7 +1944,7 @@ def q_group_concat(sf_dir: str):
             [("s_nationkey", "ascending"), ("s_name", "ascending")]
         ).combine_chunks()
         keys = t["s_nationkey"].combine_chunks().cast(pa.int64())
-        starts, lens = _run_bounds(keys)
+        starts, lens = run_bounds(keys)
         offs = np.append(starts, t.num_rows).astype(np.int32)
         lists = pa.ListArray.from_arrays(pa.array(offs), t["s_name"].combine_chunks())
         return pa.table(
@@ -2413,7 +2411,6 @@ def q_top_terms_per_lang(sf_dir: str):
     head-3 — no per-group Python, no groupby sort shuffle).  One lang's
     (term, df) table is vocabulary-bounded, so it always fits a reduce
     task."""
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2443,7 +2440,7 @@ def q_top_terms_per_lang(sf_dir: str):
         ).sort_by(
             [("lang", "ascending"), ("df", "descending"), ("term", "ascending")]
         ).combine_chunks()
-        starts, lens = _run_bounds(g["lang"].combine_chunks())
+        starts, lens = run_bounds(g["lang"].combine_chunks())
         k = np.minimum(lens, 3)
         cum = np.zeros(len(k), dtype=np.int64)
         np.cumsum(k[:-1], out=cum[1:])
@@ -4490,7 +4487,6 @@ def q_significant_terms(sf_dir: str):
     summary-sized driver aggregate (docs per lang, |langs| rows) that is
     broadcast by closure.  No whole-corpus state anywhere."""
     from ray.data.aggregate import Sum
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     # docs per lang: |langs| rows — summary-sized by definition
@@ -4535,7 +4531,7 @@ def q_significant_terms(sf_dir: str):
         g = t.group_by(["term", "lang"], use_threads=False).aggregate([("n", "sum")])
         g = g.sort_by([("term", "ascending"), ("lang", "ascending")]).combine_chunks()
         dfl = g["n_sum"].to_numpy().astype(np.float64)
-        starts, lens = _run_bounds(g["term"].combine_chunks())
+        starts, lens = run_bounds(g["term"].combine_chunks())
         dfa = np.repeat(np.add.reduceat(dfl, starts), lens)
         nl = np.array([n_lang[v] for v in g["lang"].to_pylist()], dtype=np.float64)
         # operation order mirrors the SQL exactly (IEEE-identical)
@@ -4552,7 +4548,7 @@ def q_significant_terms(sf_dir: str):
         g = t.sort_by(
             [("lang", "ascending"), ("lift", "descending"), ("term", "ascending")]
         ).combine_chunks()
-        starts, lens = _run_bounds(g["lang"].combine_chunks())
+        starts, lens = run_bounds(g["lang"].combine_chunks())
         k = np.minimum(lens, 3)
         cum = np.zeros(len(k), dtype=np.int64)
         np.cumsum(k[:-1], out=cum[1:])
@@ -6008,7 +6004,6 @@ def q_paragraph_dedup(sf_dir: str):
     scale the key would be a 128-bit content hash — same exchange."""
     from ray.data.aggregate import Sum
 
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     P = PARA_TOKENS
@@ -6046,7 +6041,7 @@ def q_paragraph_dedup(sf_dir: str):
         if t.num_rows == 0:
             return empty
         t = t.sort_by([("chunk", "ascending"), ("doc_id", "ascending")]).combine_chunks()
-        starts, lens = _run_bounds(t["chunk"].combine_chunks())
+        starts, lens = run_bounds(t["chunk"].combine_chunks())
         is_dup = np.repeat(lens >= 2, lens)
         cnt = t["cnt"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -6188,7 +6183,6 @@ def q_group_topk_hits(sf_dir: str):
     of its batch top-2s), then ONE lang-keyed spill exchange takes the
     vectorized run-length head-2 — the hit list never shuffles, the
     exchange carries ≤ 2·|langs| rows per batch."""
-    from ..functions.dedup import _run_bounds
     from ..functions.exchange import spill_exchange
 
     terms = tokenize_text(BM25_QUERY)
@@ -6210,7 +6204,7 @@ def q_group_topk_hits(sf_dir: str):
         t = pa.table({"lang": langs, "doc_id": pa.array(ids), "score": pa.array(s6)})
         t = t.sort_by([("lang", "ascending"), ("score", "descending"),
                        ("doc_id", "ascending")]).combine_chunks()
-        starts, lens = _run_bounds(t["lang"].combine_chunks())
+        starts, lens = run_bounds(t["lang"].combine_chunks())
         k = np.minimum(lens, 2)
         take = np.concatenate([np.arange(s, s + kk) for s, kk in zip(starts, k)]) \
             if len(starts) else np.zeros(0, dtype=np.int64)
@@ -6221,7 +6215,7 @@ def q_group_topk_hits(sf_dir: str):
             return empty
         t = t.sort_by([("lang", "ascending"), ("score", "descending"),
                        ("doc_id", "ascending")]).combine_chunks()
-        starts, lens = _run_bounds(t["lang"].combine_chunks())
+        starts, lens = run_bounds(t["lang"].combine_chunks())
         k = np.minimum(lens, 2)
         take = np.concatenate([np.arange(s, s + kk) for s, kk in zip(starts, k)])
         return t.take(pa.array(take))

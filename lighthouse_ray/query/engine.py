@@ -308,10 +308,6 @@ class SearchEngine:
         clauses = minc + [("boost-clauses", DenseResult(boost, min_mask.copy()))]
         return total, min_mask, clauses
 
-    def _general_scores(self, s: str) -> tuple[np.ndarray, np.ndarray]:
-        total, mask, _clauses = self._general_scores_explained(s)
-        return total, mask
-
     def _boost_should_scores(self, is_channel: np.ndarray) -> np.ndarray:
         """The 7 unconditional should clauses (func_score.go) — doc-value
         only, query-independent: computed once per engine."""

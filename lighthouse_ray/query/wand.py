@@ -104,7 +104,6 @@ def wand_topk(
     field: str,
     terms: list[str],
     k: int = 10,
-    use_block_max: bool = True,
     live: "np.ndarray | None" = None,
     dense_cutoff: float = 0.05,
 ) -> list[tuple[int, float]]:
@@ -182,19 +181,18 @@ def wand_topk(
 
         if cursors[0].doc() == pivot_doc:
             involved = [c for c in cursors if c.doc() == pivot_doc]
-            if use_block_max:
-                bub = sum(c.block_ub(pivot_doc) for c in involved)
-                if bub <= theta:
-                    # nothing in these blocks can beat θ with the involved
-                    # cursors alone: jump past the nearest block boundary,
-                    # but no further than the next cursor's doc (it could
-                    # combine with these terms from there on)
-                    boundary = min(c.block_last(pivot_doc) for c in involved) + 1
-                    others = [c.doc() for c in cursors if c.doc() > pivot_doc]
-                    nxt = min(boundary, min(others) if others else _INF)
-                    for c in involved:
-                        c.seek(max(nxt, pivot_doc + 1))
-                    continue
+            bub = sum(c.block_ub(pivot_doc) for c in involved)
+            if bub <= theta:
+                # nothing in these blocks can beat θ with the involved
+                # cursors alone: jump past the nearest block boundary,
+                # but no further than the next cursor's doc (it could
+                # combine with these terms from there on)
+                boundary = min(c.block_last(pivot_doc) for c in involved) + 1
+                others = [c.doc() for c in cursors if c.doc() > pivot_doc]
+                nxt = min(boundary, min(others) if others else _INF)
+                for c in involved:
+                    c.seek(max(nxt, pivot_doc + 1))
+                continue
             if live is None or live[pivot_doc]:
                 s = score_doc(pivot_doc, involved)
                 item = (s, -pivot_doc)

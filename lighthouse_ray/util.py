@@ -1,4 +1,4 @@
-"""Small shared helpers (stable hashing, atomic writes)."""
+"""Small shared helpers (stable hashing, atomic writes, the spill writer)."""
 
 from __future__ import annotations
 
@@ -6,6 +6,11 @@ import hashlib
 import json
 import os
 import tempfile
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 _THREADS_LIMITED = False
@@ -52,6 +57,56 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
                 os.remove(tmp)
             except OSError:
                 pass
+
+
+def spill_bytes(table: pa.Table) -> bytes:
+    """The spill file format: parquet, zstd level 1, no column statistics
+    (spills are read whole or filtered exactly, never pruned)."""
+    sink = pa.BufferOutputStream()
+    pq.write_table(table, sink, compression="zstd", compression_level=1, write_statistics=False)
+    return sink.getvalue().to_pybytes()
+
+
+def run_bounds(sorted_keys) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the equal-value runs of an already-sorted key
+    array: numpy, or Arrow (strings too; the comparison stays in Arrow)."""
+    m = len(sorted_keys)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    change = np.empty(m, dtype=bool)
+    change[0] = True
+    if isinstance(sorted_keys, np.ndarray):
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
+    else:
+        change[1:] = pc.not_equal(sorted_keys.slice(1), sorted_keys.slice(0, m - 1)).to_numpy(
+            zero_copy_only=False
+        )
+    starts = np.flatnonzero(change)
+    return starts, np.diff(np.append(starts, m))
+
+
+def spill_runs(table: pa.Table, keys, path_of) -> list[tuple]:
+    """Map-side partition-and-write: stable-sort ``table`` by ``keys``
+    (one partition id per row) and write each equal-key run, in input
+    row order, atomically to ``path_of(key, sha256_hex)`` with
+    :func:`spill_bytes`.  The caller's ``path_of`` owns the naming rule
+    (content-addressed, call-unique or fixed).  Returns
+    ``[(key, path, rows, bytes, sha256_hex)]`` in key order; an empty
+    table writes nothing."""
+    keys = np.asarray(keys)
+    # callers that pre-sort by (key, ...) skip the take's full copy
+    if len(keys) > 1 and (keys[1:] < keys[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        table, keys = table.take(pa.array(order)), keys[order]
+    out = []
+    for s, n in zip(*run_bounds(keys)):
+        data = spill_bytes(table.slice(int(s), int(n)).combine_chunks())
+        digest = hashlib.sha256(data).hexdigest()
+        key = keys[s].item()
+        path = path_of(key, digest)
+        atomic_write_bytes(path, data)
+        out.append((key, path, int(n), len(data), digest))
+    return out
 
 
 def atomic_write_json(path: str, obj) -> None:

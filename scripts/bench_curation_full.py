@@ -157,7 +157,7 @@ def main() -> dict:
         assert n_clean == n0, (n_clean, n0)  # gate semantics: one row per doc
 
         # ---- stage 2: paragraph-dup audit -> drop heavy-dup docs -------
-        from lighthouse_ray.functions.dedup import _run_bounds
+        from lighthouse_ray.util import run_bounds
         from lighthouse_ray.functions.exchange import spill_exchange
         from ray.data.aggregate import Sum
 
@@ -190,7 +190,7 @@ def main() -> dict:
             if t.num_rows == 0:
                 return empty
             t = t.sort_by([("chunk", "ascending"), ("doc_id", "ascending")]).combine_chunks()
-            _starts, lens = _run_bounds(t["chunk"].combine_chunks())
+            _starts, lens = run_bounds(t["chunk"].combine_chunks())
             is_dup = np.repeat(lens >= 2, lens)
             cnt = t["cnt"].to_numpy(zero_copy_only=False)
             return pa.table({"doc_id": t["doc_id"], "cnt": t["cnt"],

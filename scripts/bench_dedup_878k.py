@@ -56,12 +56,12 @@ def main() -> dict:
     from bench_curation import ScratchSampler, big_documents_dir
     from lighthouse_ray.analysis import flat_tokens
     from lighthouse_ray.functions.dedup import (
-        _run_bounds,
         containment_pairs,
         substring_dup_spans,
         winnow_pairs,
     )
     from lighthouse_ray.functions.exchange import spill_exchange
+    from lighthouse_ray.util import run_bounds
 
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
@@ -117,7 +117,7 @@ def main() -> dict:
             if t.num_rows == 0:
                 return empty
             t = t.sort_by([("chunk", "ascending"), ("doc_id", "ascending")]).combine_chunks()
-            _s, lens = _run_bounds(t["chunk"].combine_chunks())
+            _s, lens = run_bounds(t["chunk"].combine_chunks())
             is_dup = np.repeat(lens >= 2, lens)
             cnt = t["cnt"].to_numpy(zero_copy_only=False)
             return pa.table({"doc_id": t["doc_id"], "cnt": t["cnt"],

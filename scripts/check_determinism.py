@@ -2,6 +2,11 @@
 the same corpus must produce byte-identical segments (per-shard sha256)
 and identical doc-store lineage digests.
 
+Each run's ``stages.postings.digest`` (sha256 over every postings spill
+file's sha256) is printed but not compared: the payload-file layout, and
+so the spill files, follow the block count.  It lets two checkouts be
+diffed at the same CPU count.
+
 Usage: python scripts/check_determinism.py [n_docs]
 """
 
@@ -29,6 +34,7 @@ m = res.manifest
 print(json.dumps({
     "shards": {k: v["sha256"] for k, v in m["stages"]["segments"]["shards"].items()},
     "digests": m["stages"]["docstore"]["digests"],
+    "postings_digest": m["stages"]["postings"]["digest"],
     "n_docs": res.n_docs,
 }))
 ray.shutdown()
@@ -56,6 +62,7 @@ def main() -> int:
         ).stdout
         results[ncpu] = json.loads(out.strip().splitlines()[-1])
 
+    digests = {n: r.pop("postings_digest") for n, r in results.items()}
     a, b = results[8], results[32]
     ok = a == b
     n_shards = len(a["shards"])
@@ -64,6 +71,7 @@ def main() -> int:
         "n_docs": a["n_docs"],
         "n_shards_compared": n_shards,
         "docstore_digests_equal": a["digests"] == b["digests"],
+        "postings_digest": {str(n): d for n, d in digests.items()},
     }))
     return 0 if ok else 1
 

@@ -155,3 +155,81 @@ def test_ordmap_sidecar_roundtrip(tmp_path):
         pa.array([1, 4, 3, 0], type=pa.int64()),
     )
     assert mask.tolist() == [False, True, True, False]
+
+
+def _spill_table(n=200, seed=0):
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 7, n).astype(np.int32)
+    t = pa.table({"row": pa.array(np.arange(n, dtype=np.int64)),
+                  "s": pa.array([f"v{i % 13}" for i in range(n)])})
+    return t, keys
+
+
+def test_spill_runs_partitions_rows_in_input_order(tmp_path):
+    import hashlib
+    import os
+
+    import pyarrow.parquet as pq
+
+    from lighthouse_ray.util import spill_runs
+
+    t, keys = _spill_table()
+    runs = spill_runs(t, keys, lambda k, sha: str(tmp_path / f"k={k}" / f"{sha[:24]}.parquet"))
+    assert [r[0] for r in runs] == sorted(set(keys.tolist()))
+    seen = []
+    for key, path, rows, nbytes, sha in runs:
+        assert os.path.dirname(path) == str(tmp_path / f"k={key}")
+        data = open(path, "rb").read()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (nbytes, sha)
+        got = pq.read_table(path)
+        assert got.num_rows == rows and got.schema == t.schema
+        r = got["row"].to_numpy()
+        assert (keys[r] == key).all()  # every row under its own key
+        assert (np.diff(r) > 0).all()  # input order within the run
+        seen.append(r)
+    # every row in exactly one file, and nothing else on disk
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(t.num_rows))
+    assert sum(len(fs) for _d, _s, fs in os.walk(tmp_path)) == len(runs)
+
+
+def test_spill_runs_content_addressed_rerun_rewrites_same_paths(tmp_path):
+    import os
+
+    from lighthouse_ray.util import spill_runs
+
+    t, keys = _spill_table(seed=1)
+
+    def path_of(k, sha):
+        return str(tmp_path / f"k={k}" / f"{sha[:24]}.parquet")
+
+    first = spill_runs(t, keys, path_of)
+    again = spill_runs(t, keys, path_of)
+    assert first == again
+    assert sum(len(fs) for _d, _s, fs in os.walk(tmp_path)) == len(first)
+
+
+def test_spill_runs_empty_table_writes_nothing(tmp_path):
+    from lighthouse_ray.util import spill_runs
+
+    t, keys = _spill_table()
+    assert spill_runs(t.slice(0, 0), keys[:0], lambda k, sha: str(tmp_path / f"{k}")) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_bounds_numpy_arrow_empty_single():
+    import pyarrow as pa
+
+    from lighthouse_ray.util import run_bounds
+
+    s, n = run_bounds(np.array([3, 3, 5, 9, 9, 9], dtype=np.int64))
+    assert s.tolist() == [0, 2, 3] and n.tolist() == [2, 1, 3]
+    s, n = run_bounds(pa.array(["a", "b", "b", "c"]))
+    assert s.tolist() == [0, 1, 3] and n.tolist() == [1, 2, 1]
+    for empty in (np.zeros(0, dtype=np.int64), pa.array([], type=pa.string())):
+        s, n = run_bounds(empty)
+        assert len(s) == 0 and len(n) == 0
+    for single in (np.full(4, 7, dtype=np.uint64), pa.array(["x"] * 4)):
+        s, n = run_bounds(single)
+        assert s.tolist() == [0] and n.tolist() == [4]

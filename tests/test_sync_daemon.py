@@ -177,6 +177,8 @@ def test_blocklist_job_runs_each_tick(ray_session, tmp_path):
 
 def test_sync_cli_smoke(ray_session, tmp_path):
     """The CLI entrypoint wires the same loop (no sleep at interval 0)."""
+    import ray
+
     from lighthouse_ray.__main__ import main
 
     rows, _live = _source_rows()
@@ -190,6 +192,8 @@ def test_sync_cli_smoke(ray_session, tmp_path):
     assert rc == 0
     gens = json.load(open(str(tmp_path / "w" / "generations.json")))
     assert gens["live"].startswith("gen-")
+    # the CLI shuts down only a Ray session it started itself
+    assert ray.is_initialized()
 
 
 def test_readers_survive_generation_swap(ray_session, tmp_path):

@@ -53,16 +53,6 @@ def test_wand_matches_exhaustive(reader, q, k, cutoff):
     np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-12)
 
 
-@pytest.mark.parametrize("q", QUERIES[:4])
-def test_wand_without_blockmax_matches(reader, q):
-    from lighthouse_ray.query.wand import exhaustive_topk, wand_topk
-
-    terms = tokenize_text(q)
-    want = exhaustive_topk(reader, "content", terms, 10)
-    got = wand_topk(reader, "content", terms, 10, use_block_max=False)
-    assert [d for d, _ in got] == [d for d, _ in want]
-
-
 def test_wand_other_fields(reader):
     from lighthouse_ray.query.wand import exhaustive_topk, wand_topk
 
