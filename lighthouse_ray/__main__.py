@@ -4,7 +4,7 @@
     python -m lighthouse_ray search --index <dir> -s "query" [--size N] [--from N] [--channel X] ...
     python -m lighthouse_ray autocomplete --index <dir> -s "pref" [--size N]
     python -m lighthouse_ray status --index <dir>
-    python -m lighthouse_ray serve  --index <dir> [--host H] [--port P] [--replicas N]
+    python -m lighthouse_ray serve  --index <dir> [--host H] [--port P] [--partitions K] [--replicas R]
     python -m lighthouse_ray sync   --source <parquet> --workdir <dir> [--cycles N] [--interval S]
 
 The CLI owns its Ray session (library code never calls ray.init).
@@ -87,12 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     sv.add_argument("--index", required=True)
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=50005)  # reference default, app/test/test.go:21
-    sv.add_argument("--replicas", type=int, default=2)
-    sv.add_argument(
-        "--partitions", type=int, default=0,
-        help="serve with K range-partitioned replicas queried in parallel "
-             "per request (latency mode) instead of round-robin full replicas",
-    )
+    sv.add_argument("--replicas", type=int, default=2,
+                    help="R copies of every range, taken round-robin per request")
+    sv.add_argument("--partitions", type=int, default=1,
+                    help="K ordinal ranges queried in parallel per request")
     sv.add_argument("--num-cpus", type=int, default=None)
 
     args = p.parse_args(argv)
@@ -103,14 +101,9 @@ def main(argv: list[str] | None = None) -> int:
 
         from .query.http_server import LighthouseHTTPServer
 
-        service = None
-        if args.partitions:
-            from .query.serving import ShardedSearchService
-
-            service = ShardedSearchService(args.index, num_partitions=args.partitions)
         srv = LighthouseHTTPServer(
-            args.index, host=args.host, port=args.port, num_replicas=args.replicas,
-            service=service,
+            args.index, host=args.host, port=args.port,
+            num_partitions=args.partitions, num_replicas=args.replicas,
         )
         print(json.dumps({"serving": f"http://{args.host}:{srv.port}/search?s=test"}))
         try:

@@ -22,7 +22,7 @@ FIELDS = ("name", "title", "channel", "content")
 
 # bump when the on-disk segment/docstore layout changes: readers refuse
 # mismatched indexes and cached builds are keyed by this
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass

@@ -134,14 +134,18 @@ def decode_jpeg(payload: bytes) -> tuple[int, int, int]:
             pos += 1
             continue
         marker = payload[pos + 1]
-        if marker in (0xC0, 0xC1, 0xC2):  # SOF0/1/2
-            h, w = struct.unpack(">HH", payload[pos + 5 : pos + 9])
-            ncomp = payload[pos + 9]
-            return int(w), int(h), int(ncomp)
         if marker in (0xD8, 0x01) or 0xD0 <= marker <= 0xD7:
             pos += 2
             continue
         (seglen,) = struct.unpack(">H", payload[pos + 2 : pos + 4])
+        if seglen < 2 or pos + 2 + seglen > len(payload):
+            raise ValueError(f"JPEG segment length {seglen} at {pos} runs past the payload")
+        if marker in (0xC0, 0xC1, 0xC2):  # SOF0/1/2
+            if seglen < 8:
+                raise ValueError(f"JPEG SOF segment too short ({seglen} bytes)")
+            h, w = struct.unpack(">HH", payload[pos + 5 : pos + 9])
+            ncomp = payload[pos + 9]
+            return int(w), int(h), int(ncomp)
         pos += 2 + seglen
     raise ValueError("JPEG SOF marker not found")
 

@@ -220,26 +220,17 @@ class IndexReader:
         """Sorted array of all terms of a field (loaded once; used for
         prefix expansion — autocomplete A4 — and fuzzy edit-distance scans).
 
-        Prefers the ``dict/`` sidecar the merge tasks write (per-shard
-        distinct base terms — vocabulary-sized, already de-salted); falls
-        back to scanning the term column of every segment shard for
-        indexes built before the sidecar existed."""
+        Read from the ``dict/`` sidecar the merge tasks write (per-shard
+        distinct base terms — vocabulary-sized, already de-salted)."""
         if self._dictionary is None:
             self._dictionary = {}
         arr = self._dictionary.get(field)
         if arr is None:
-            ddir = os.path.join(self.index_dir, "dict")
-            if os.path.isdir(ddir):
-                t = pads.dataset(ddir).to_table(
-                    columns=["term"], filter=pads.field("field") == field
-                )
-                u = pc.unique(t["term"].combine_chunks())
-                u = u.take(pc.sort_indices(u))
-            else:
-                ds = pads.dataset(os.path.join(self.index_dir, "segments"))
-                t = ds.to_table(columns=["field", "term"], filter=pads.field("field") == field)
-                terms = [s.split("\x01", 1)[0] for s in t["term"].to_pylist()]
-                u = pa.array(np.unique(np.asarray(terms, dtype=object)), type=pa.string())
+            t = pads.dataset(os.path.join(self.index_dir, "dict")).to_table(
+                columns=["term"], filter=pads.field("field") == field
+            )
+            u = pc.unique(t["term"].combine_chunks())
+            u = u.take(pc.sort_indices(u))
             arr = u.to_numpy(zero_copy_only=False)
             # keep the Arrow array too: fuzzy_candidates reads its raw
             # offset/byte buffers directly, avoiding a re-encode pass

@@ -146,17 +146,17 @@ class SearchEngine:
         debug: bool = False,
         _partial: bool = False,
     ) -> pd.DataFrame:
-        # validation (search.go:56-63, app/validator/validator.go);
-        # ``_partial`` marks an internal partial-result fetch from the
-        # range-partitioned coordinator (which validated the USER's
-        # size/from already and may legitimately fetch from+size deep)
+        # validation (search.go:56-63, app/validator/validator.go)
         if s is None or len(s) < 3 or len(s) > 99999:
             raise SearchError("s is required with length in [3, 99999]")
-        if not _partial:
-            if size is not None and size > 10000:
-                raise SearchError("size must be <= 10000")
-            if from_ is not None and from_ > 9999:
-                raise SearchError("from must be <= 9999")
+        if size is not None and size > 10000:
+            raise SearchError("size must be <= 10000")
+        if from_ is not None and from_ > 9999:
+            raise SearchError("from must be <= 9999")
+        if _partial:
+            # one range of a partitioned service: return the unpaged top
+            # from+size, which the coordinator merges and then pages
+            size, from_ = (from_ or 0) + (size if size is not None else 10), 0
         if media_type is not None:
             for t in media_type.split(","):
                 if t not in MEDIA_TYPES and t not in ("cad", ""):
@@ -518,9 +518,10 @@ class SearchEngine:
     # ------------------------------------------------------------ msearch
 
     def msearch(self, requests: list[dict]) -> list[dict]:
-        """ES ``_msearch`` analog at the engine level: run each request,
-        isolating failures per item (the serving layer's
-        ``SearchService.msearch`` is the concurrent fan-out version)."""
+        """ES ``_msearch`` analog at the engine level: run each request
+        in turn, isolating failures per item (``SearchService.msearch``
+        puts every request in flight on the replica grid first, with the
+        same per-item statuses)."""
         out: list[dict] = []
         for req in requests:
             try:

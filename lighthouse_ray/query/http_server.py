@@ -15,8 +15,9 @@ source debug`` (camelCase aliases accepted) — validation itself lives
 in the engine (engine.search mirrors search.go:56-63).
 
 The handler is a thin stdlib ``ThreadingHTTPServer`` over
-:class:`.serving.SearchService` (warm Ray actor replicas): each request
-thread round-robins a replica and blocks on ``ray.get`` — the Python
+:class:`.serving.SearchService`, a partitions × replicas grid of warm
+Ray actors that the server owns and stops: each request thread
+round-robins a replica row and blocks on ``ray.get`` — the Python
 analog of the reference's long-lived ES client behind net/http.
 """
 
@@ -266,7 +267,7 @@ def make_handler(service, metrics: Metrics):
 
 
 class LighthouseHTTPServer:
-    """Owns the listening socket + a serving thread.
+    """Owns the listening socket, a serving thread and the replica grid.
 
     >>> srv = LighthouseHTTPServer(index_dir, port=50005)
     >>> srv.start()          # non-blocking; .port has the bound port
@@ -275,14 +276,14 @@ class LighthouseHTTPServer:
     """
 
     def __init__(self, index_dir: str, host: str = "127.0.0.1", port: int = 0,
-                 num_replicas: int = 2, special_map: dict | None = None,
-                 service=None):
+                 num_partitions: int = 1, num_replicas: int = 2,
+                 special_map: dict | None = None):
         from .serving import SearchService
 
-        self.service = service or SearchService(
-            index_dir, num_replicas=num_replicas, special_map=special_map
+        self.service = SearchService(
+            index_dir, num_partitions=num_partitions, num_replicas=num_replicas,
+            special_map=special_map,
         )
-        self._owns_service = service is None
         self.metrics = Metrics()
         self._httpd = ThreadingHTTPServer(
             (host, port), make_handler(self.service, self.metrics)
@@ -308,5 +309,4 @@ class LighthouseHTTPServer:
         self._httpd.server_close()
         if self._thread:
             self._thread.join(timeout=5)
-        if self._owns_service:
-            self.service.shutdown()
+        self.service.shutdown()

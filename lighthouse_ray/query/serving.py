@@ -1,23 +1,22 @@
 """Serving layer: query actors holding warm segment readers.
 
 The reference serves /search from a process holding a long-lived ES
-client (app/app.go:48-53); our analog for a Ray cluster is a pool of
-actor replicas, each holding a warm :class:`SearchEngine` (segment
-caches, doclens, fuzzy matrices, request TTL cache), fronted by a tiny
-round-robin handle.  On a multi-node cluster replicas spread across
-nodes (SPREAD scheduling); here they share the single node.
+client over an index whose shard count is a setting (app/app.go:48-53,
+claims.go:12 ``number_of_shards``); our analog for a Ray cluster is
+:class:`SearchService`, a grid of ``num_partitions`` (K) ordinal ranges
+× ``num_replicas`` (R) warm copies of each.  Every cell is one
+:class:`SearchReplica` actor holding a warm :class:`SearchEngine`
+(segment caches, doclens, fuzzy matrices, request TTL cache).  On a
+multi-node cluster replicas spread across nodes (SPREAD scheduling);
+here they share the single node.
 
-Two compositions:
-
-- :class:`SearchService` — N full-index replicas, round-robin: scales
-  query THROUGHPUT (the reference's N-process deployment).
-- :class:`ShardedSearchService` — K range-partitioned replicas
-  (``RangeReader`` views over disjoint ordinal ranges) queried in
-  PARALLEL per request, coordinator merges top-k: scales single-query
-  LATENCY (the ES number_of_shards analog; the reference runs 1 shard,
-  claims.go:12 — this is the scale path it lacks).  Collection stats
-  stay global in each range view, so the merged result is
-  bit-identical to the unpartitioned engine's.
+A request picks one replica row round-robin (R scales query
+THROUGHPUT).  With K = 1 the row is one full-index replica and the
+request is a single actor call.  With K > 1 every range of the row
+scores its slice concurrently and the coordinator merges the partial
+top-k (K scales single-query LATENCY).  Collection stats stay global in
+each range view (``RangeReader``), so the merged result is bit-identical
+to the unpartitioned engine's.
 
 This is the one place raw ``@ray.remote`` is justified instead of a
 Dataset op: a query is a low-latency point lookup against shared warm
@@ -27,28 +26,50 @@ state, not a batch transform.
 from __future__ import annotations
 
 import itertools
+import os
+import time
 
 import numpy as np
 import pandas as pd
 import ray
 
+from .engine import SearchError
+
+# straggler hedging (K > 1, R >= 2): once the quorum of ranges has
+# answered, laggards get this multiple of the elapsed time (at least
+# HEDGE_MIN_S) before they are duplicated onto their standby
+HEDGE_FACTOR = 1.0
+HEDGE_MIN_S = 0.02
+
 
 @ray.remote
 class SearchReplica:
-    def __init__(self, index_dir: str, special_map: dict | None = None,
-                 cache_ttl: float = 300.0):
-        from ..index import IndexReader
+    """One warm engine over the ordinal range [lo, hi) of the index.
+
+    A replica whose range is the whole index holds the plain
+    ``IndexReader``; any other holds a ``RangeReader`` view.
+    ``debug_delay_s`` is test-only fault injection (a synthetic
+    straggler for the hedging test); it defaults off and adds no
+    per-request work when 0."""
+
+    def __init__(self, index_dir: str, lo: int, hi: int, special_map: dict | None = None,
+                 cache_ttl: float = 300.0, debug_delay_s: float = 0.0):
+        from ..index import IndexReader, RangeReader
         from .engine import SearchEngine
 
-        self.engine = SearchEngine(
-            IndexReader(index_dir), special_map=special_map, cache_ttl=cache_ttl
-        )
+        reader = IndexReader(index_dir)
+        if (lo, hi) != (0, reader.n_docs):
+            reader = RangeReader(reader, lo, hi)
+        self.engine = SearchEngine(reader, special_map=special_map, cache_ttl=cache_ttl)
         # pay all lazy loads (doclens, docmeta, dictionaries, fuzzy scan
         # state) at actor startup, never on a user query; replicas of a
-        # pool warm concurrently
+        # grid warm concurrently
         self.engine.r.prewarm()
+        self._delay = debug_delay_s
 
     def search(self, **kwargs):
+        if self._delay:
+            time.sleep(self._delay)
         return self.engine.search(**kwargs)
 
     def autocomplete(self, **kwargs):
@@ -58,253 +79,108 @@ class SearchReplica:
         return self.engine.status()
 
 
-class SearchService:
-    """Round-robin front over N warm replicas."""
-
-    def __init__(self, index_dir: str, num_replicas: int = 2, special_map: dict | None = None,
-                 cache_ttl: float = 300.0):
-        self.replicas = [
-            SearchReplica.options(scheduling_strategy="SPREAD").remote(
-                index_dir, special_map, cache_ttl
-            )
-            for _ in range(num_replicas)
-        ]
-        self._rr = itertools.cycle(range(num_replicas))
-
-    def _pick(self):
-        return self.replicas[next(self._rr)]
-
-    def search(self, **kwargs):
-        return ray.get(self._pick().search.remote(**kwargs))
-
-    def msearch(self, requests: list[dict]) -> list[dict]:
-        """ES ``_msearch`` analog: submit every request CONCURRENTLY
-        (round-robin across warm replicas — the whole batch is in
-        flight at once, unlike a client-side loop of /search calls)
-        and gather with PER-ITEM error isolation, exactly like ES's
-        per-item ``responses`` array: one bad request yields its own
-        400-shaped entry without failing the batch."""
-        from .engine import SearchError
-
-        refs = [self._pick().search.remote(**req) for req in requests]
-        out: list[dict] = []
-        for ref in refs:
-            try:
-                out.append({"status": 200, "hits": ray.get(ref)})
-            except ray.exceptions.RayTaskError as e:
-                cause = getattr(e, "cause", None) or e
-                bad = isinstance(cause, SearchError)
-                out.append({"status": 400 if bad else 500, "error": str(cause)})
-        return out
-
-    def autocomplete(self, **kwargs):
-        return ray.get(self._pick().autocomplete.remote(**kwargs))
-
-    def status(self):
-        return ray.get(self._pick().status.remote())
-
-    def shutdown(self):
-        for r in self.replicas:
-            ray.kill(r)
-        self.replicas = []
-
-
-@ray.remote
-class RangeReplica:
-    """One ordinal-range partition of the index, warm.
-
-    ``debug_delay_s`` is test-only fault injection (a synthetic
-    straggler for the hedging tests); it defaults off and adds no
-    per-request work when 0."""
-
-    def __init__(self, index_dir: str, lo: int, hi: int, special_map: dict | None = None,
-                 cache_ttl: float = 300.0, debug_delay_s: float = 0.0):
-        from ..index import IndexReader, RangeReader
-        from .engine import SearchEngine
-
-        self.engine = SearchEngine(
-            RangeReader(IndexReader(index_dir), lo, hi), special_map=special_map,
-            cache_ttl=cache_ttl,
-        )
-        self.engine.r.prewarm()
-        self._delay = debug_delay_s
-
-    def search(self, **kwargs):
-        if self._delay:
-            import time
-
-            time.sleep(self._delay)
-        return self.engine.search(**kwargs)
-
-    def autocomplete_scored(self, **kwargs):
-        return self.engine.autocomplete(_scored=True, **kwargs)
-
-    def status(self):
-        return self.engine.status()
-
-
-def _reraise_search_error(fn):
-    from .engine import SearchError
-
+def _get(refs):
+    """``ray.get`` that re-raises a replica's :class:`SearchError` as
+    itself (the request's own validation failure, not a server fault)."""
     try:
-        return fn()
-    except ray.exceptions.RayTaskError as e:  # unwrap replica-side validation
+        return ray.get(refs)
+    except ray.exceptions.RayTaskError as e:
         if isinstance(e.cause, SearchError):
             raise e.cause from None
         raise
 
 
-class ShardedSearchService:
-    """Range-partitioned parallel query execution.
+class SearchService:
+    """A ``num_partitions`` × ``num_replicas`` grid of warm replicas.
 
-    Every request fans out to all K partitions concurrently; each
-    scores only its ordinal range (same global BM25 statistics through
-    the ``RangeReader``) and returns its local top-(from+size); the
-    coordinator merges with the engine's exact ordering semantics
-    (score desc / sort-field with doc_id tie-breaks), pages, and
-    projects.  Results are identical to a single full-range engine.
+    ``self.replicas`` is the flat row-major grid: row ``r`` holds the K
+    range replicas ``replicas[r*K : (r+1)*K]``, one per ordinal range.
 
-    STRAGGLER HEDGING (``hedge=True``): the coordinator waits for all
-    K ranges, so one slow replica sets the request's latency.  With
-    hedging, a second warm replica is kept per range; once ~75% of the
-    ranges have answered, laggards get a grace window proportional to
-    the elapsed time (``hedge_factor``) and are then DUPLICATED onto
-    their standby — the coordinator takes whichever copy answers first.
-    Both copies hold the same deterministic range view, so the merged
-    result is bit-identical either way.  Costs one extra warm replica
-    per range; off by default.
+    STRAGGLER HEDGING (K > 1, R >= 2): the coordinator waits for all K
+    ranges, so one slow replica sets the request's latency.  Once ~75%
+    of the ranges have answered, laggards get a grace window
+    proportional to the elapsed time and are then DUPLICATED onto the
+    next replica in their column; the coordinator takes whichever copy
+    answers first.  Both copies hold the same deterministic range view,
+    so the merged result is bit-identical either way.
     """
 
-    def __init__(self, index_dir: str, num_partitions: int = 4,
-                 special_map: dict | None = None, cache_ttl: float = 300.0,
-                 hedge: bool = False, hedge_factor: float = 1.0,
-                 hedge_min_s: float = 0.02,
-                 _debug_primary_delays: list[float] | None = None):
+    def __init__(self, index_dir: str, num_partitions: int = 1, num_replicas: int = 2,
+                 special_map: dict | None = None, cache_ttl: float = 300.0):
         from ..util import read_json
-        import os
 
         n_docs = int(read_json(os.path.join(index_dir, "stats.json"))["n_docs"])
-        bounds = [round(i * n_docs / num_partitions) for i in range(num_partitions + 1)]
-        delays = _debug_primary_delays or [0.0] * num_partitions
+        self.bounds = [round(i * n_docs / num_partitions) for i in range(num_partitions + 1)]
+        self.num_partitions = num_partitions
+        self.num_replicas = num_replicas
         self.replicas = [
-            RangeReplica.options(scheduling_strategy="SPREAD").remote(
-                index_dir, bounds[i], bounds[i + 1], special_map, cache_ttl,
-                debug_delay_s=delays[i],
+            SearchReplica.options(scheduling_strategy="SPREAD").remote(
+                index_dir, self.bounds[k], self.bounds[k + 1], special_map, cache_ttl
             )
-            for i in range(num_partitions)
+            for _row in range(num_replicas)
+            for k in range(num_partitions)
         ]
-        self.hedge_factor = hedge_factor
-        self.hedge_min_s = hedge_min_s
-        self._hedgers = (
-            [
-                RangeReplica.options(scheduling_strategy="SPREAD").remote(
-                    index_dir, bounds[i], bounds[i + 1], special_map, cache_ttl
-                )
-                for i in range(num_partitions)
-            ]
-            if hedge
-            else None
-        )
+        self._rr = itertools.count()
 
-    def _gather_hedged(self, futs: list, fire_hedge) -> list:
-        """All K partial results, racing stragglers against standbys.
-        ``fire_hedge(i)`` re-issues range i's request on its standby."""
-        import time
+    def _row(self) -> int:
+        return next(self._rr) % self.num_replicas
 
-        if self._hedgers is None:
-            return _reraise_search_error(lambda: ray.get(futs))
+    def _cells(self, row: int) -> list:
+        k = self.num_partitions
+        return self.replicas[row * k : (row + 1) * k]
+
+    def _gather(self, row: int, futs: list, call: dict) -> list:
+        """All K partial results of ``row``, racing stragglers against
+        the next row's replica of the same range when there is one."""
+        if self.num_replicas < 2:
+            return _get(futs)
         t0 = time.monotonic()
         quorum = max(1, len(futs) - max(1, len(futs) // 4))
         ray.wait(list(futs), num_returns=quorum)
-        grace = max(self.hedge_min_s, (time.monotonic() - t0) * self.hedge_factor)
+        grace = max(HEDGE_MIN_S, (time.monotonic() - t0) * HEDGE_FACTOR)
         _done, pending = ray.wait(list(futs), num_returns=len(futs), timeout=grace)
         if not pending:
-            return _reraise_search_error(lambda: ray.get(futs))
+            return _get(futs)
+        standby = self._cells((row + 1) % self.num_replicas)
         idx_of = {f: i for i, f in enumerate(futs)}
         winners = list(futs)
         for f in pending:
             i = idx_of[f]
-            hedged = fire_hedge(i)
+            hedged = standby[i].search.remote(**call)
             first, _rest = ray.wait([f, hedged], num_returns=1)
             winners[i] = first[0]  # the loser's result is discarded
-        return _reraise_search_error(lambda: ray.get(winners))
+        return _get(winners)
 
     # -- /search ------------------------------------------------------------
 
-    def _start_search(self, s: str | None = None, size: int | None = None,
-                      from_: int | None = None, sort_by: str | None = None,
-                      include: str | None = None, **kwargs):
-        """Validate + fire the K-partition fan-out; returns
-        ``(futs, fire, ctx)`` for :meth:`_finish_search` — split out so
-        :meth:`msearch` can put EVERY request's fan-out in flight
-        before gathering any."""
-        from .engine import SearchError
-
-        if size is not None and size > 10000:
-            raise SearchError("size must be <= 10000")
-        if from_ is not None and from_ > 9999:
-            raise SearchError("from must be <= 9999")
-        k_from = from_ or 0
-        k_size = size if size is not None else 10
-        need = k_from + k_size
-
-        # the merge needs the sort key column; inject it into include
-        # and strip it afterwards if the caller didn't ask for it
+    def _start_search(self, kwargs: dict) -> tuple:
+        """Put one request in flight on a round-robin row; returns the
+        state :meth:`_finish_search` gathers — split so :meth:`msearch`
+        can start EVERY request before gathering any."""
+        row = self._row()
+        cells = self._cells(row)
+        if self.num_partitions == 1:
+            return row, [cells[0].search.remote(**kwargs)], kwargs, None
+        # each range returns its unpaged top from+size; the merge needs
+        # the sort key column, so inject it into include and strip it
+        # afterwards if the caller didn't ask for it
+        call = dict(kwargs, _partial=True)
+        sort_by, include = kwargs.get("sort_by"), kwargs.get("include")
         inject = None
-        inc = include
         if sort_by is not None:
             field = sort_by.lstrip("^")
             inc_list = [c for c in (include.split(",") if include else []) if c]
             if field not in inc_list and field not in ("name", "claimId"):
                 inject = field
-                inc = ",".join(inc_list + [field]) if inc_list else field
+                call["include"] = ",".join(inc_list + [field])
+        return row, [r.search.remote(**call) for r in cells], call, inject
 
-        def fire(r):
-            return r.search.remote(
-                s=s, size=need, from_=0, sort_by=sort_by, include=inc,
-                _partial=True, **kwargs
-            )
-
-        futs = [fire(r) for r in self.replicas]
-        return futs, fire, dict(sort_by=sort_by, inject=inject,
-                                k_from=k_from, k_size=k_size)
-
-    def search(self, **kwargs) -> pd.DataFrame:
-        futs, fire, ctx = self._start_search(**kwargs)
-        return self._finish_search(futs, fire, ctx)
-
-    def msearch(self, requests: list[dict]) -> list[dict]:
-        """ES ``_msearch`` over the range-sharded service: every
-        request's K-partition fan-out is in flight before any gather,
-        with per-item status/error isolation (the ES responses-array
-        contract); each item's merged result is bit-identical to a
-        lone :meth:`search` call."""
-        from .engine import SearchError
-
-        started: list[tuple] = []
-        for req in requests:
-            try:
-                started.append(("ok", self._start_search(**req)))
-            except SearchError as e:
-                started.append(("err", {"status": 400, "error": str(e)}))
-        out: list[dict] = []
-        for kind, v in started:
-            if kind == "err":
-                out.append(v)
-                continue
-            try:
-                out.append({"status": 200, "hits": self._finish_search(*v)})
-            except SearchError as e:
-                out.append({"status": 400, "error": str(e)})
-            except Exception as e:  # noqa: BLE001 — per-item isolation
-                out.append({"status": 500, "error": str(e)})
-        return out
-
-    def _finish_search(self, futs, fire, ctx) -> pd.DataFrame:
-        sort_by, inject = ctx["sort_by"], ctx["inject"]
-        k_from, k_size = ctx["k_from"], ctx["k_size"]
-        parts = self._gather_hedged(futs, lambda i: fire(self._hedgers[i]))
-        df = pd.concat(parts, ignore_index=True)
+    def _finish_search(self, row: int, futs: list, call: dict,
+                       inject: str | None) -> pd.DataFrame:
+        if self.num_partitions == 1:
+            return _get(futs[0])
+        df = pd.concat(self._gather(row, futs, call), ignore_index=True)
+        sort_by = call.get("sort_by")
         if len(df):
             if sort_by is not None:
                 field = sort_by.lstrip("^")
@@ -315,30 +191,51 @@ class ShardedSearchService:
                     order = order[::-1]
             else:
                 order = np.lexsort((df["claimId"].to_numpy(), -df["score"].to_numpy()))
+            k_from = call.get("from_") or 0
+            size = call.get("size")
+            k_size = size if size is not None else 10
             df = df.iloc[order[k_from : k_from + k_size]].reset_index(drop=True)
         if inject is not None and inject in df.columns:
             df = df.drop(columns=[inject])
         return df
 
+    def search(self, **kwargs) -> pd.DataFrame:
+        return self._finish_search(*self._start_search(kwargs))
+
+    def msearch(self, requests: list[dict]) -> list[dict]:
+        """ES ``_msearch`` analog: every request is in flight before any
+        is gathered, and each item is isolated like ES's per-item
+        ``responses`` array — one bad request yields its own 400 (or
+        500) entry without failing the batch."""
+        started = [self._start_search(req) for req in requests]
+        out: list[dict] = []
+        for st in started:
+            try:
+                out.append({"status": 200, "hits": self._finish_search(*st)})
+            except SearchError as e:
+                out.append({"status": 400, "error": str(e)})
+            except Exception as e:  # noqa: BLE001 — per-item isolation
+                out.append({"status": 500, "error": str(e)})
+        return out
+
     # -- /autocomplete ------------------------------------------------------
 
     def autocomplete(self, s: str | None = None, size: int | None = None,
                      from_: int | None = None, nsfw: bool | None = None) -> list[str]:
-        futs = [
-            r.autocomplete_scored.remote(s=s, size=size, from_=from_, nsfw=nsfw)
-            for r in self.replicas
-        ]
-        parts = _reraise_search_error(lambda: ray.get(futs))
+        kw = dict(s=s, size=size, from_=from_, nsfw=nsfw)
+        cells = self._cells(self._row())
+        if self.num_partitions == 1:
+            return _get(cells[0].autocomplete.remote(**kw))
+        parts = _get([r.autocomplete.remote(_scored=True, **kw) for r in cells])
         names = [n for p in parts for n in p[0]]
         scores = np.asarray([v for p in parts for v in p[1]], dtype=np.float64)
         doc_ids = np.asarray([d for p in parts for d in p[2]], dtype=object)
         order = np.lexsort((doc_ids, -scores))
         k_from = from_ or 0
         k_size = size if size is not None else 10
-        page = order[k_from : k_from + k_size]
         seen: set[str] = set()
         out: list[str] = []
-        for i in page:
+        for i in order[k_from : k_from + k_size]:
             nm = names[int(i)]
             if nm not in seen:  # ordered dedup (auto_complete.go:126-131)
                 seen.add(nm)
@@ -348,10 +245,9 @@ class ShardedSearchService:
     # -- /status ------------------------------------------------------------
 
     def status(self):
-        return _reraise_search_error(lambda: ray.get(self.replicas[0].status.remote()))
+        return _get(self._cells(self._row())[0].status.remote())
 
     def shutdown(self):
-        for r in self.replicas + (self._hedgers or []):
+        for r in self.replicas:
             ray.kill(r)
         self.replicas = []
-        self._hedgers = None

@@ -42,40 +42,25 @@ class IncrementalIndex:
         self.root = root
         self.cfg = cfg or IndexConfig()
         self.sync_path = os.path.join(root, "sync.json")
-        self.state = read_json(self.sync_path) if os.path.exists(self.sync_path) else {
-            "deltas": [],
-            "tombstones": [],
-            # monotone dir-name counters: delta/minor dir names must NEVER
-            # be derived from the current chain (after a minor fold the
-            # chain shrinks and length-derived names would reuse — and
-            # rmtree — folded-away dirs still on disk for pinned readers,
-            # or worse, the LIVE merged delta itself)
-            "next_delta": 0,
-            "next_minor": 0,
-        }
+        if os.path.exists(self.sync_path):
+            self.state = read_json(self.sync_path)
+            for key in ("next_delta", "next_minor"):
+                if key not in self.state:
+                    raise ValueError(f"{self.sync_path} lacks the {key!r} counter")
+        else:
+            self.state = {
+                "deltas": [],
+                "tombstones": [],
+                # monotone dir-name counters: delta/minor dir names must
+                # NEVER be derived from the current chain (after a minor
+                # fold the chain shrinks and length-derived names would
+                # reuse — and rmtree — folded-away dirs still on disk for
+                # pinned readers, or worse, the LIVE merged delta itself)
+                "next_delta": 0,
+                "next_minor": 0,
+            }
         self._readers: list[IndexReader] | None = None
         self._live_map: list[np.ndarray] | None = None
-
-    def _next_seq(self, kind: str, prefix: str) -> int:
-        """Monotone dir-name sequence for ``deltas/{prefix}-NNNN``.
-
-        Reads the persisted counter; legacy sync.json files (written
-        before the counter existed) fall back to scanning the deltas dir
-        on disk for the max existing ``{prefix}-NNNN`` + 1 — dirs left
-        behind by ``drop_old=False`` folds count, so a resurrected name
-        can never clobber a folded-away dir a pinned reader still holds."""
-        if kind in self.state:
-            return int(self.state[kind])
-        top = os.path.join(self.root, "deltas")
-        mx = -1
-        if os.path.isdir(top):
-            for d in os.listdir(top):
-                if d.startswith(prefix + "-"):
-                    try:
-                        mx = max(mx, int(d.split("-")[-1]))
-                    except ValueError:
-                        pass
-        return mx + 1
 
     def _check_build_target(self, rel: str) -> None:
         """Refuse to build into a directory the current state references
@@ -115,7 +100,7 @@ class IncrementalIndex:
         from ..build import build_index
 
         n = len(self.state["deltas"])  # chain position (after_delta semantics)
-        seq = self._next_seq("next_delta", "delta")  # dir name: monotone, never reused
+        seq = int(self.state["next_delta"])  # dir name: monotone, never reused
         rel = f"deltas/delta-{seq:04d}"
         delta_dir = os.path.join(self.root, rel)
         if source is not None:
@@ -510,7 +495,7 @@ class IncrementalIndex:
         # chain holds <=1 minor, so the 3rd fold would recompute gen=1 and
         # build into deltas/minor-0001, the LIVE merged delta it is reading
         # payload from (build rmtrees the target's subdirs mid-read)
-        gen = self._next_seq("next_minor", "minor")
+        gen = int(self.state["next_minor"])
         new_deltas: list[str] = []
         if len(live_delta):
             name = f"deltas/minor-{gen:04d}"
@@ -541,7 +526,7 @@ class IncrementalIndex:
             # carry the monotone counters forward: folded-away delta names
             # must never be reused (drop_old=False leaves them on disk for
             # pinned readers), and the next fold needs gen+1
-            "next_delta": self._next_seq("next_delta", "delta"),
+            "next_delta": self.state["next_delta"],
             "next_minor": gen + 1,
         }
         self._save()

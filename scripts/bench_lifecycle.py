@@ -8,7 +8,7 @@ chains the whole lifecycle once, over the synthetic CODE corpus:
                 survivors written as a curated corpus parquet dir.
   B. INDEX    — full inverted-index build over the survivors into a
                 SyncDaemon generation root (the serving layout).
-  C. SERVE    — ShardedSearchService (K range partitions) over the
+  C. SERVE    — SearchService (K range partitions × 1 replica) over the
                 built index: bit-identical parity vs the single-range
                 engine on the bench query suite, then p50 latency.
   D. SYNC     — one daemon tick over a change wave (upserts of existing
@@ -101,7 +101,7 @@ def main() -> int:
     )
     from lighthouse_ray.index import IndexReader
     from lighthouse_ray.query import SearchEngine
-    from lighthouse_ray.query.serving import ShardedSearchService
+    from lighthouse_ray.query.serving import SearchService
     from lighthouse_ray.state import IncrementalIndex, SyncDaemon
 
     CFG = IndexConfig(num_doc_parts=64, num_term_shards=128)
@@ -235,7 +235,7 @@ def main() -> int:
         # ---- C. SERVE (sharded parity + latency) ---------------------------
         t0 = time.time()
         engine = SearchEngine(IndexReader(idx_dir), cache_ttl=0)
-        svc = ShardedSearchService(idx_dir, num_partitions=K, cache_ttl=0)
+        svc = SearchService(idx_dir, num_partitions=K, num_replicas=1, cache_ttl=0)
         for q in QUERY_SUITE:
             a = engine.search(**q).reset_index(drop=True)
             b = svc.search(**q).reset_index(drop=True)

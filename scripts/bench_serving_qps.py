@@ -146,7 +146,7 @@ def main() -> dict:
     for regime, queries in regimes.items():
         table = {}
         for r in replica_counts:
-            svc = SearchService(idx, num_replicas=r, cache_ttl=0.0)
+            svc = SearchService(idx, num_partitions=1, num_replicas=r, cache_ttl=0.0)
             # prewarm happens in actor __init__; issue one query per
             # replica to cover lazy per-field state
             for _ in range(r):

@@ -2,7 +2,7 @@
 
 Builds (once, cached) the index over the N-doc synthetic corpus, then
 measures the bench query suite p50/p95 on (a) a single full-range
-engine and (b) `ShardedSearchService` at K partitions — the
+engine and (b) `SearchService` at K partitions × 1 replica — the
 range-partitioned parallel execution that is the documented scale path
 for single-query latency (the ES-shards analog).  Asserts bit-identical
 results between the two before timing.
@@ -42,7 +42,7 @@ def main() -> int:
     from lighthouse_ray.config import FORMAT_VERSION, IndexConfig
     from lighthouse_ray.index import IndexReader
     from lighthouse_ray.query import SearchEngine
-    from lighthouse_ray.query.serving import ShardedSearchService
+    from lighthouse_ray.query.serving import SearchService
 
     src = corpus_dir(n_docs)
     idx = f"/tmp/lighthouse_bigidx_v{FORMAT_VERSION}_d{n_docs}"
@@ -65,7 +65,7 @@ def main() -> int:
         return lat
 
     engine = SearchEngine(IndexReader(idx), cache_ttl=0)
-    svc = ShardedSearchService(idx, num_partitions=k, cache_ttl=0)
+    svc = SearchService(idx, num_partitions=k, num_replicas=1, cache_ttl=0)
 
     # parity first: the sharded merge must be bit-identical
     for q in QUERY_SUITE:

@@ -451,6 +451,22 @@ def project_reference(meta, ords, scores, include, resolve, source, debug):
     return out
 
 
+def segment_dictionary(index_dir, field):
+    """The sorted distinct base terms of ``field`` scanned from every
+    segment shard's term column, de-salted (``term\\x01salt`` -> ``term``):
+    the reference for the reader's ``dict/`` sidecar."""
+    import os
+
+    import numpy as np
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(os.path.join(index_dir, "segments")).to_table(
+        columns=["field", "term"], filter=pads.field("field") == field
+    )
+    terms = [s.split("\x01", 1)[0] for s in t["term"].to_pylist()]
+    return np.unique(np.asarray(terms, dtype=object))
+
+
 def _edit_distance(a, b):
     la, lb = len(a), len(b)
     prev = list(range(lb + 1))

@@ -13,6 +13,8 @@ from lighthouse_ray.analysis import tokenize_text
 from lighthouse_ray.config import IndexConfig
 from lighthouse_ray.corpus import gen_corpus
 
+from .oracle import segment_dictionary
+
 N_DOCS = 400
 # cleanup_spills=False: the resume tests simulate mid-stage crashes by
 # deleting outputs from a finished build, which requires the exchange
@@ -356,28 +358,16 @@ def test_resume_refuses_layout_mismatch(ray_session, built, tmp_path):
 
 
 def test_dictionary_sidecar_parity(built):
-    """dict/ sidecar == de-salted distinct terms scanned from segments,
-    per field; the reader must prefer the sidecar and agree with the
-    legacy segment-scan fallback byte-for-byte."""
-    import shutil as _sh
-
+    """dict/ sidecar == de-salted distinct terms scanned from segments
+    (``tests/oracle.py::segment_dictionary``), per field, byte-for-byte."""
     from lighthouse_ray.config import FIELDS
     from lighthouse_ray.index import IndexReader
 
     idx, _ = built
     assert os.path.isdir(os.path.join(idx, "dict")), "sidecar missing"
-    via_sidecar = {f: IndexReader(idx).field_dictionary(f) for f in FIELDS}
-
-    # force the fallback path on a copy with the sidecar removed
-    legacy = idx + "_nodict"
-    if os.path.isdir(legacy):
-        _sh.rmtree(legacy)
-    _sh.copytree(idx, legacy)
-    _sh.rmtree(os.path.join(legacy, "dict"))
-    via_scan = {f: IndexReader(legacy).field_dictionary(f) for f in FIELDS}
-
+    reader = IndexReader(idx)
     for f in FIELDS:
-        assert list(via_sidecar[f]) == list(via_scan[f]), f"field {f} diverges"
+        a = reader.field_dictionary(f)
+        assert list(a) == list(segment_dictionary(idx, f)), f"field {f} diverges"
         # sorted + unique invariants callers rely on (searchsorted)
-        a = via_sidecar[f]
         assert all(a[i] < a[i + 1] for i in range(len(a) - 1))

@@ -18,15 +18,21 @@ CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_
 
 
 @pytest.fixture(scope="module")
-def server(ray_session, tmp_path_factory):
+def index_dir(ray_session, tmp_path_factory):
     import ray.data as rd
 
     from lighthouse_ray.build import build_index
-    from lighthouse_ray.query.http_server import LighthouseHTTPServer
 
     idx = str(tmp_path_factory.mktemp("http") / "index")
     build_index(rd.from_arrow(gen_corpus(250)), idx, CFG)
-    srv = LighthouseHTTPServer(idx, port=0, num_replicas=1).start()
+    return idx
+
+
+@pytest.fixture(scope="module")
+def server(index_dir):
+    from lighthouse_ray.query.http_server import LighthouseHTTPServer
+
+    srv = LighthouseHTTPServer(index_dir, port=0, num_replicas=1).start()
     yield srv
     srv.stop()
 
@@ -216,3 +222,34 @@ def test_keepalive_requests_single_send_no_stall(server, monkeypatch):
             assert statistics.median(walls) < 0.010, (path, sorted(walls))
     finally:
         conn.close()
+
+
+def test_grid_server_parity_and_stop_kills_replicas(index_dir):
+    """A 2 × 2 grid behind HTTP answers /search byte-identically to an
+    in-process engine, and ``stop()`` kills every replica actor."""
+    import ray
+
+    from lighthouse_ray.index import IndexReader
+    from lighthouse_ray.query import SearchEngine
+    from lighthouse_ray.query.http_server import LighthouseHTTPServer
+
+    engine = SearchEngine(IndexReader(index_dir))
+    srv = LighthouseHTTPServer(index_dir, port=0, num_partitions=2, num_replicas=2).start()
+    handles = list(srv.service.replicas)
+    try:
+        assert len(handles) == 4
+        for params, kw in [
+            ({"s": "merge segment", "size": 5}, dict(s="merge segment", size=5)),
+            ({"s": "import", "size": 4, "from": 2}, dict(s="import", size=4, from_=2)),
+            ({"s": "merge segment", "size": 6, "sort_by": "^release_time"},
+             dict(s="merge segment", size=6, sort_by="^release_time")),
+        ]:
+            df = engine.search(**kw).drop(columns=["score"])
+            want = json.dumps(df.to_dict(orient="records"), indent=2, default=str).encode()
+            _status, _h, body = _get(srv, "/search?" + urllib.parse.urlencode(params))
+            assert body == want, params
+    finally:
+        srv.stop()
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.status.remote(), timeout=60)

@@ -530,6 +530,25 @@ def test_delta_names_not_reused_after_fold(ray_session, tmp_path):
         assert len(r.docmeta()) >= 1
 
 
+def test_sync_json_without_counters_is_refused(tmp_path):
+    """The delta/minor dir-name counters are written when the state is
+    created and carried through every fold; a sync.json without one is
+    refused at open, naming the missing key."""
+    import json as _json
+
+    root = tmp_path / "root"
+    root.mkdir()
+    state = {"deltas": [], "tombstones": []}
+    (root / "sync.json").write_text(_json.dumps(state))
+    with pytest.raises(ValueError, match="next_delta"):
+        IncrementalIndex(str(root), CFG)
+    (root / "sync.json").write_text(_json.dumps({**state, "next_delta": 3}))
+    with pytest.raises(ValueError, match="next_minor"):
+        IncrementalIndex(str(root), CFG)
+    (root / "sync.json").write_text(_json.dumps({**state, "next_delta": 3, "next_minor": 1}))
+    assert IncrementalIndex(str(root), CFG).state["next_delta"] == 3
+
+
 def test_minor_compact_pins_bm25_params(ray_session, tmp_path):
     """ADVICE r4 (low): the merged delta's BM25 params must follow the
     BASE config even when the caller passes a divergent delta cfg (same

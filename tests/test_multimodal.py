@@ -266,6 +266,34 @@ def test_decoders_fuzz_raise_only_expected_types():
                 pass
 
 
+def test_jpeg_fuzz_truncations_and_corruptions_raise_only_valueerror():
+    """Every truncation and every single-byte corruption of a baseline
+    JPEG header stream either decodes or raises ValueError — never a
+    ``struct.error``/``IndexError`` from reading past the payload."""
+    jpg = (
+        b"\xff\xd8"                                      # SOI
+        b"\xff\xe0\x00\x10JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"  # APP0
+        b"\xff\xdb\x00\x05\x00\x01\x02\x03"              # DQT (dummy)
+        b"\xff\xc0\x00\x11\x08" + struct.pack(">HH", 31, 77) + b"\x03"
+        b"\x01\x22\x00\x02\x11\x01\x03\x11\x01"          # SOF0, 3 components
+        b"\xff\xda\x00\x0c\x03\x01\x00\x02\x11\x03\x11\x00\x3f\x00"  # SOS
+        b"\x12\x34\xff\x00\x56\xff\xd9"                  # scan data, EOI
+    )
+    assert decode_jpeg(jpg) == (77, 31, 3)
+    for payload in (b"\xff\xd8\xff\xc0\x00\x11", b"\xff\xd8\xff\xc0\x00\x11\x08\x00"):
+        with pytest.raises(ValueError):
+            decode_jpeg(payload)
+    payloads = [jpg[:cut] for cut in range(len(jpg))]
+    payloads += [jpg[:i] + bytes([v]) + jpg[i + 1:]
+                 for i in range(len(jpg)) for v in range(256) if v != jpg[i]]
+    for payload in payloads:
+        for fn in (decode_jpeg, decode_image):
+            try:
+                fn(payload)
+            except ValueError:
+                pass
+
+
 def test_gif_lzw_roundtrip_and_width_sync():
     """From-scratch GIF LZW codec: roundtrip across sizes/palettes incl.
     the 4096-entry dictionary reset, plus the width-sync case that

@@ -109,21 +109,6 @@ def test_blocklist_channel_expansion(ray_session, tmp_path):
     assert (live2["repo"] == repo).sum() == 0
 
 
-def test_search_service_replicas(built):
-    from lighthouse_ray.query.serving import SearchService
-
-    idx, e = built
-    svc = SearchService(idx, num_replicas=2)
-    try:
-        a = svc.search(s="merge segment", size=5)
-        b = e.search(s="merge segment", size=5)
-        assert a[["claimId", "score"]].equals(b[["claimId", "score"]])
-        assert svc.status()["count"] == e.r.n_docs
-        assert svc.autocomplete(s="imp", size=5) == e.autocomplete(s="imp", size=5)
-    finally:
-        svc.shutdown()
-
-
 def test_completion_suggest(built):
     """A3 completion-suggester analog: prefix options over the mapped
     fields (suggest_name <- name, suggest_desc <- title), deduped,
@@ -187,12 +172,12 @@ def test_suggest_matches_prefix_scan_random_prefixes(built):
 
 
 def test_msearch_service_and_engine(built, ray_session):
-    """ES _msearch analog: the serving fan-out returns the same
-    per-item results as sequential engine.search, with per-item error
-    isolation at both layers."""
+    """ES _msearch analog at the engine: the same per-item results as
+    sequential engine.search, with per-item error isolation.  The
+    service half runs on every grid shape in
+    ``tests/test_sharded.py::test_sharded_msearch_parity_and_isolation``."""
     from lighthouse_ray.index import IndexReader
     from lighthouse_ray.query import SearchEngine
-    from lighthouse_ray.query.serving import SearchService
 
     idx_dir, _eng = built
     engine = SearchEngine(IndexReader(idx_dir), cache_ttl=0)
@@ -204,13 +189,6 @@ def test_msearch_service_and_engine(built, ray_session):
     ]
     eng = engine.msearch(reqs)
     assert [r["status"] for r in eng] == [200, 200, 400, 400]
-    svc = SearchService(idx_dir, num_replicas=2, cache_ttl=0)
-    try:
-        got = svc.msearch(reqs)
-        assert [r["status"] for r in got] == [200, 200, 400, 400]
-        for a, b in zip(eng, got):
-            if a["status"] == 200:
-                assert a["hits"].reset_index(drop=True).equals(
-                    b["hits"].reset_index(drop=True))
-    finally:
-        svc.shutdown()
+    for req, item in zip(reqs, eng):
+        if item["status"] == 200:
+            assert item["hits"].equals(engine.search(**req))

@@ -1,6 +1,7 @@
-"""Range-partitioned parallel query execution: ShardedSearchService
-must return BIT-IDENTICAL results to the unpartitioned engine (global
-BM25 stats through RangeReader; exact merge ordering)."""
+"""The serving grid: ``SearchService`` over K ordinal ranges × R
+replicas must return BIT-IDENTICAL results to the unpartitioned engine
+at every shape (global BM25 stats through RangeReader; exact merge
+ordering; K = 1 is a single replica call)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from lighthouse_ray.config import IndexConfig
 from lighthouse_ray.corpus import GOLDEN_PHRASE, gen_corpus
 
 CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_mod=10)
+
+# (num_partitions, num_replicas)
+SHAPES = [(1, 1), (1, 2), (3, 1), (3, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +28,14 @@ def built(ray_session, tmp_path_factory):
     return idx, SearchEngine(IndexReader(idx))
 
 
-@pytest.fixture(scope="module")
-def sharded(built):
-    from lighthouse_ray.query.serving import ShardedSearchService
+@pytest.fixture(scope="module", params=SHAPES, ids=lambda p: f"{p[0]}x{p[1]}")
+def sharded(built, request):
+    from lighthouse_ray.query.serving import SearchService
 
     idx, _e = built
-    svc = ShardedSearchService(idx, num_partitions=3)
+    k, r = request.param
+    svc = SearchService(idx, num_partitions=k, num_replicas=r)
+    assert len(svc.replicas) == k * r
     yield svc
     svc.shutdown()
 
@@ -82,7 +88,8 @@ def test_status_and_validation(built, sharded):
     from lighthouse_ray.query import SearchError
 
     _idx, engine = built
-    assert sharded.status()["count"] == engine.r.n_docs
+    for _ in range(sharded.num_replicas):  # every replica row
+        assert sharded.status() == engine.status()
     with pytest.raises(SearchError):
         sharded.search(s="ab")
     with pytest.raises(SearchError):
@@ -106,24 +113,29 @@ def test_range_reader_scores_are_global(built):
 
 
 def test_hedged_straggler_parity_and_latency(built):
-    """One primary range replica is a synthetic 3 s straggler; with
-    hedging on, its standby answers instead — results stay bit-identical
-    to the unpartitioned engine and the request finishes well under the
-    straggler's delay."""
+    """On a 3 × 2 grid one range replica of row 0 is a synthetic 3 s
+    straggler; the row-1 replica of its range answers instead — results
+    stay bit-identical to the unpartitioned engine and the request
+    finishes well under the straggler's delay."""
     import time
 
-    from lighthouse_ray.query.serving import ShardedSearchService
+    import ray
+
+    from lighthouse_ray.query.serving import SearchReplica, SearchService
 
     idx, engine = built
-    svc = ShardedSearchService(
-        idx, num_partitions=3, hedge=True, hedge_min_s=0.02,
-        _debug_primary_delays=[0.0, 0.0, 3.0],
+    svc = SearchService(idx, num_partitions=3, num_replicas=2)
+    ray.kill(svc.replicas[2])
+    svc.replicas[2] = SearchReplica.remote(
+        idx, svc.bounds[2], svc.bounds[3], debug_delay_s=3.0
     )
     try:
         kw = dict(s="interesting and amazing facts", size=7)
         want = engine.search(**kw).reset_index(drop=True)
-        svc.search(**kw)  # warm both replica sets (engine caches load lazily)
+        svc.search(**kw)  # warm both rows (engine caches load lazily)
+        svc.search(**kw)
         t0 = time.monotonic()
+        # the third request takes row 0 again, whose third range is the straggler
         got = svc.search(s="merge segment", size=5).reset_index(drop=True)
         wall = time.monotonic() - t0
         want2 = engine.search(s="merge segment", size=5).reset_index(drop=True)
@@ -137,9 +149,11 @@ def test_hedged_straggler_parity_and_latency(built):
         svc.shutdown()
 
 
-def test_sharded_msearch_parity_and_isolation(sharded, ray_session):
-    """Sharded _msearch: every item bit-identical to a lone search;
-    invalid items isolated per the ES responses contract."""
+def test_sharded_msearch_parity_and_isolation(built, sharded):
+    """_msearch on the grid: every item bit-identical to the engine's
+    own answer and to a lone search; invalid items isolated per the ES
+    responses contract."""
+    _idx, engine = built
     svc = sharded
     reqs = [
         {"s": "import", "size": 4},
@@ -149,7 +163,11 @@ def test_sharded_msearch_parity_and_isolation(sharded, ray_session):
     ]
     out = svc.msearch(reqs)
     assert [r["status"] for r in out] == [200, 200, 400, 400]
+    assert [r["status"] for r in engine.msearch(reqs)] == [200, 200, 400, 400]
     for req, item in zip(reqs, out):
         if item["status"] == 200:
-            lone = svc.search(**req).reset_index(drop=True)
-            assert item["hits"].reset_index(drop=True).equals(lone)
+            hits = item["hits"].reset_index(drop=True)
+            assert hits.equals(engine.search(**req).reset_index(drop=True))
+            assert hits.equals(svc.search(**req).reset_index(drop=True))
+        else:
+            assert item["error"]
