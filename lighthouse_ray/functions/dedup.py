@@ -44,7 +44,7 @@ import pyarrow.parquet as pq
 
 from ..analysis import flat_tokens
 from ..index.reader import _popcount64
-from ..util import atomic_write_bytes, run_bounds, spill_bytes
+from ..util import atomic_write_bytes, md5_digests, run_bounds, spill_bytes
 from .exchange import combine_hashes, spill_exchange
 
 # fixed seeded 64-bit affine hashers for minhash (a*x+b mod p)
@@ -56,18 +56,6 @@ def _perm_params(num_perm: int, seed: int = 42):
     a = rng.randint(1, 1 << 61, size=num_perm, dtype=np.uint64) | np.uint64(1)
     b = rng.randint(0, 1 << 61, size=num_perm, dtype=np.uint64)
     return a, b
-
-
-def _md5_low64(terms: list[str]) -> np.ndarray:
-    """Low 8 bytes (little-endian) of md5 per term — the same value
-    DuckDB's ``md5_number_lower`` returns, so SQL oracles can mirror
-    every hash-derived signature exactly."""
-    import hashlib
-
-    out = np.empty(len(terms), dtype=np.uint64)
-    for i, t in enumerate(terms):
-        out[i] = np.frombuffer(hashlib.md5(t.encode()).digest(), dtype="<u8")[1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,42 +422,6 @@ def containment_pairs(ds, n: int = 3, threshold: float = 0.5,
     )
 
 
-def _md5_low64_arr(col) -> np.ndarray:
-    """Vectorized ``md5_number_lower``: low 8 digest bytes
-    (little-endian) of md5 per row of an Arrow string array, hashing the
-    UTF-8 buffer slices directly (no per-row Python strings).  Same
-    value as :func:`_md5_low64` and DuckDB's ``md5_number_lower``."""
-    import hashlib
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    out: list[np.ndarray] = []
-    for chunk in chunks:
-        n = len(chunk)
-        if n == 0:
-            continue
-        bufs = chunk.buffers()
-        vals = np.empty(n, dtype=np.uint64)
-        if len(bufs) < 3 or bufs[2] is None:
-            vals[:] = np.frombuffer(hashlib.md5(b"").digest(), dtype="<u8")[1]
-        else:
-            odt = np.int64 if pa.types.is_large_string(chunk.type) else np.int32
-            offs = np.frombuffer(bufs[1], dtype=odt, count=n + chunk.offset + 1)[
-                chunk.offset:
-            ]
-            data = memoryview(bufs[2])
-            md5 = hashlib.md5
-            for i in range(n):
-                vals[i] = np.frombuffer(
-                    md5(data[offs[i]: offs[i + 1]]).digest(), dtype="<u8"
-                )[1]
-        out.append(vals)
-    if not out:
-        return np.zeros(0, dtype=np.uint64)
-    return np.concatenate(out)
-
-
 def winnow_fingerprint_rows(batch: pa.Table, text_col: str, id_col: str,
                             k: int, w: int) -> pa.Table:
     """Winnowing fingerprints per doc (Schleimer, Wilkerson & Aiken,
@@ -511,7 +463,7 @@ def winnow_fingerprint_rows(batch: pa.Table, text_col: str, id_col: str,
     grams = pc.binary_join_element_wise(*[terms.slice(j, G) for j in range(k)], " ")
     gvalid = parents[:G] == parents[k - 1: k - 1 + G]
     gp = parents[:G][gvalid]
-    hv = _md5_low64_arr(grams.filter(pa.array(gvalid)))
+    hv = md5_digests(grams.filter(pa.array(gvalid))).view("<u8")[:, 1]
     M = len(gp) - w + 1
     if M <= 0:
         return empty
@@ -749,7 +701,7 @@ def _rolling_shingle_hashes(batch: pa.Table, text_col: str, k: int):
     parents, _pos, terms, n = flat_tokens(batch[text_col])
     tcodes = terms.dictionary_encode()
     codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uh = _md5_low64(tcodes.dictionary.to_pylist())
+    uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
     th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
     counts = np.bincount(parents, minlength=n) if len(parents) else np.zeros(n, dtype=np.int64)
     L = len(th)
@@ -1117,7 +1069,7 @@ def _doc_shingle_hash_sets(batch: pa.Table, text_col: str, k: int):
     parents, _pos, terms, n = flat_tokens(batch[text_col])
     tcodes = terms.dictionary_encode()
     codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uh = _md5_low64(tcodes.dictionary.to_pylist())
+    uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
     th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
     L = len(th)
     W = L - k + 1
@@ -1566,7 +1518,7 @@ def simhash_signatures(batch: pa.Table, text_col: str = "text", id_col: str = "d
     parents, _pos, terms, n = flat_tokens(batch[text_col])
     tcodes = terms.dictionary_encode()
     codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uh = _md5_low64(tcodes.dictionary.to_pylist())
+    uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
     th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
     counts = np.bincount(parents, minlength=n) if len(parents) else np.zeros(n, dtype=np.int64)
     nonempty = np.flatnonzero(counts > 0)

@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..util import top_k
 from .clustering import _assign, _list_arr, _mat, _quant_ds
 
 
@@ -175,7 +176,7 @@ def pq_adc_topk(ds, books: np.ndarray, query_q: np.ndarray, k: int = 10, *,
         lt = _r.get(lref)
         sc = lt[np.arange(m)[None, :], codes].sum(axis=1)
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, -sc))[:k]
+        order = top_k(sc, ids, k)
         return pa.table({id_col: pa.array(ids[order]),
                          "score": pa.array(sc[order].astype(np.int64))})
 
@@ -183,7 +184,7 @@ def pq_adc_topk(ds, books: np.ndarray, query_q: np.ndarray, k: int = 10, *,
     if len(part) == 0:
         return pd.DataFrame({id_col: pd.Series(dtype=np.int64),
                              "score": pd.Series(dtype=np.int64)})
-    order = np.lexsort((part[id_col].to_numpy(), -part["score"].to_numpy()))[:k]
+    order = top_k(part["score"].to_numpy(), part[id_col].to_numpy(), k)
     return part.iloc[order].reset_index(drop=True)
 
 
@@ -381,5 +382,5 @@ def ivfpq_topk(index: IvfPqIndex, query_vec: np.ndarray, k: int = 10,
                              "score": pd.Series(dtype=np.int64)})
     ids = np.concatenate(ids_all)
     sc = np.concatenate(sc_all)
-    order = np.lexsort((ids, -sc))[:k]
+    order = top_k(sc, ids, k)
     return pd.DataFrame({index.id_col: ids[order], "score": sc[order].astype(np.int64)})

@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..util import top_k
+
 
 def _to_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     emb = batch[vec_col].combine_chunks()
@@ -467,5 +469,5 @@ def ivf_topk(index: IvfIndex, query_vec: np.ndarray, k: int = 10, nprobe: int = 
         return pd.DataFrame({"vec_id": [], "cos": []})
     ids = np.concatenate(ids_all)
     cos = np.round(np.concatenate(cos_all), 6)
-    order = np.lexsort((ids, -cos))[:k]
+    order = top_k(cos, ids, k)
     return pd.DataFrame({"vec_id": ids[order], "cos": cos[order]})

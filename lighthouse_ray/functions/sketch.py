@@ -226,8 +226,7 @@ def kmv_distinct(ds, *, k: int = 64, text_col: str = "text",
     count-distinct via groupby would shuffle the whole vocabulary).
     """
     from ..analysis import flat_tokens as _ft
-    from ..util import run_bounds
-    from .dedup import _md5_low64
+    from ..util import md5_digests, run_bounds
     from .exchange import spill_exchange
 
     empty = pa.table({group_col: pa.array([], type=pa.string()),
@@ -242,7 +241,7 @@ def kmv_distinct(ds, *, k: int = 64, text_col: str = "text",
         gcodes = grp.dictionary_encode()
         gidx = gcodes.indices.to_numpy(zero_copy_only=False)[parents]
         tcodes = terms.dictionary_encode()
-        uh = _md5_low64(tcodes.dictionary.to_pylist())
+        uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
         hv = uh[tcodes.indices.to_numpy(zero_copy_only=False)]
         # distinct (group, hash) pairs, then k smallest hashes per group
         pair = np.unique(np.stack([gidx.astype(np.uint64), hv], axis=1), axis=0)

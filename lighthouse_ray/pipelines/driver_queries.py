@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis import flat_tokens, sql_tokens_expr, tokenize_text
-from ..util import run_bounds
+from ..util import md5_digests, run_bounds, top_k
 
 TOK = sql_tokens_expr("text")
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
@@ -189,23 +189,18 @@ def q_bm25_topk(sf_dir: str):
     """Top-10 BM25 over documents.text for a fixed query, answered by the
     distributed index via block-max WAND; oracle is closed-form SQL BM25.
 
-    Note on ties: WAND's tie-break is the internal ordinal while the SQL
-    orders by doc_id, so we fetch a safety margin and re-rank by
-    (score desc, doc_id asc) before cutting to 10.
+    WAND ties on the internal ordinal while the SQL orders by doc_id, so
+    the page comes from ``topk_page``, which deepens the fetch until the
+    (score desc, doc_id asc) page is provably complete.
     """
     from ..index import IndexReader
-    from ..query.wand import wand_topk
+    from ..query.pagination import topk_page
 
     reader = IndexReader(_built_index(sf_dir))
-    hits = wand_topk(reader, "content", tokenize_text(BM25_QUERY), k=30)
-    meta = reader.docmeta()
-    ords = np.array([d for d, _ in hits], dtype=np.int64)
-    scores = np.array([s for _, s in hits])
-    doc_ids = meta["path"].to_numpy()[ords].astype(np.int64)
-    order = np.lexsort((doc_ids, -scores))[:10]
-    return pd.DataFrame(
-        {"doc_id": doc_ids[order], "score": np.round(scores[order], 6)}
+    _ords, doc_ids, scores, _k = topk_page(
+        reader, "content", tokenize_text(BM25_QUERY), size=10
     )
+    return pd.DataFrame({"doc_id": doc_ids, "score": np.round(scores, 6)})
 
 
 def _sql_bm25(query: str, limit: int = 10, offset: int = 0) -> str:
@@ -340,64 +335,32 @@ FROM parent ORDER BY parent.score DESC, doc_id LIMIT {limit}
 """
 
 
-def _bm25_corpus_stats(sf_dir: str, terms: list[str]):
-    """Bounded BM25 stats pass: n_docs, avgdl, and idf per query term.
-    One map over `text` emitting a single partial row per batch
-    (summary-sized by construction — the driver never sees the corpus)."""
+def _bm25_hits(sf_dir: str):
+    """The flagship query's hits from the built index: ``(scorer, ords,
+    doc_ids, scores)`` over the matching ordinals in ordinal order, raw
+    BM25 scores.  The scorer stays open for further clauses."""
+    from ..index import IndexReader
+    from ..query.scoring import Scorer
 
-    def stats_partial(b: pa.Table) -> pa.Table:
-        parents, _pos, toks, n = flat_tokens(b["text"])
-        cols = {
-            "n": pa.array([float(n)]),
-            "dl": pa.array([float(len(parents))]),
-        }
-        for i, t in enumerate(terms):
-            m = pc.equal(toks, t).to_numpy(zero_copy_only=False)
-            # df partial: docs in this batch containing the term
-            cols[f"df{i}"] = pa.array([float(len(np.unique(parents[m])))])
-        return pa.table(cols)
-
-    from ray.data.aggregate import Sum
-
-    # one partial row per batch, folded by a distributed Sum — the
-    # driver sees a single row no matter the corpus size.  All partials
-    # are integer-valued floats, so summation order cannot change them.
-    cols = ["n", "dl"] + [f"df{i}" for i in range(len(terms))]
-    agg = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(stats_partial, batch_format="pyarrow")
-        .aggregate(*[Sum(c, alias_name=c) for c in cols])
-    )
-    n_docs = agg["n"]
-    avgdl = agg["dl"] / n_docs
-    idf = [
-        math.log(1.0 + (n_docs - agg[f"df{i}"] + 0.5) / (agg[f"df{i}"] + 0.5))
-        for i in range(len(terms))
-    ]
-    return n_docs, avgdl, idf
+    sc = Scorer(IndexReader(_built_index(sf_dir)))
+    res = sc.match("content", tokenize_text(BM25_QUERY))
+    ords = np.flatnonzero(res.mask)
+    doc_ids = sc.r.docmeta()["path"].to_numpy()[ords].astype(np.int64)
+    return sc, ords, doc_ids, res.scores[ords]
 
 
-def _bm25_batch_scores(b: pa.Table, terms, idf, avgdl):
-    """Vectorized per-batch BM25 over `text`: returns (matched_mask,
-    scores) for the batch's rows; a doc never spans batches so the sum
-    is complete.  Terms accumulate in fixed list order (deterministic
-    at any parallelism).  Also returns the flat token view so callers
-    can test further per-doc predicates without re-tokenizing."""
-    parents, _pos, toks, n = flat_tokens(b["text"])
-    if n == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return np.zeros(0, dtype=bool), np.zeros(0), z, toks, 0
-    dl = np.bincount(parents, minlength=n).astype(np.float64)
-    score = np.zeros(n, dtype=np.float64)
-    matched = np.zeros(n, dtype=bool)
-    denom_dl = K1 * (1.0 - B + B * dl / avgdl)
-    for i, t in enumerate(terms):
-        m = pc.equal(toks, t).to_numpy(zero_copy_only=False)
-        tf = np.bincount(parents[m], minlength=n).astype(np.float64)
-        has = tf > 0
-        matched |= has
-        score[has] += idf[i] * tf[has] * (K1 + 1.0) / (tf[has] + denom_dl[has])
-    return matched, score, parents, toks, n
+def _bm25_first_per_lang(sf_dir: str, n: int) -> pd.DataFrame:
+    """The first ``n`` hits of each lang in the flagship query's one
+    ranking (6-dp score desc, doc_id asc), kept in ranking order."""
+    sc, ords, doc_ids, scores = _bm25_hits(sf_dir)
+    s6 = _round6(scores)
+    order = top_k(s6, doc_ids)
+    hits = pd.DataFrame({
+        "lang": sc.r.docmeta()["lang"].to_numpy()[ords[order]],
+        "doc_id": doc_ids[order],
+        "score": s6[order],
+    })
+    return hits[hits.groupby("lang", dropna=False).cumcount() < n].reset_index(drop=True)
 
 
 def q_collapse_topk(sf_dir: str):
@@ -408,75 +371,14 @@ def q_collapse_topk(sf_dir: str):
     (`lang` here; channel/repo in the reference's data model), and
     return the collapsed groups ordered by their winning hit.
 
-    Distributed shape: a bounded stats pass (n_docs, avgdl, per-query-
-    term df — summary-sized partials), then one scoring pass whose
-    per-batch combiner keeps the best hit per key IN THE BATCH (shuffle
-    carries <= |keys| rows per batch, never the hit list), then a
-    `groupby(key).aggregate(Min(packed))` where the winner's
-    (inv_score, doc_id) ride inside a fixed-width packed key — the same
-    winner-in-the-key pattern as the curation funnel.  A
-    high-cardinality collapse key keeps the Dataset `sort().limit()`
-    tail; the driver drain is collapsed-page-sized."""
-    from ray.data.aggregate import Min
-
-    terms = tokenize_text(BM25_QUERY)
-    n_docs, avgdl, idf = _bm25_corpus_stats(sf_dir, terms)
-
-    def score_collapse(b: pa.Table) -> pa.Table:
-        empty = pa.table({"lang": pa.array([], type=pa.string()),
-                          "k": pa.array([], type=pa.string())})
-        matched, score, _parents, _toks, _n = _bm25_batch_scores(b, terms, idf, avgdl)
-        if not matched.any():
-            return empty
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[matched]
-        langs = b["lang"].to_numpy(zero_copy_only=False)[matched]
-        s_int = np.floor(score[matched] * 1e6 + 0.5).astype(np.int64)
-        # batch-local best per lang: rank by (score desc, doc_id asc),
-        # keep the first occurrence of each lang
-        order = np.lexsort((ids, -s_int))
-        _, first = np.unique(langs[order], return_index=True)
-        sel = order[first]
-        # Min(packed) == score desc, doc_id asc.  The -1 keeps inv at 13
-        # digits even for a score that rounds to 0 (tiny idf at huge n):
-        # a 14-digit "1..." would otherwise sort BEFORE every 13-digit
-        # key and promote the worst doc.
-        inv = 10**13 - 1 - s_int[sel]
-        k = pc.binary_join_element_wise(
-            pc.utf8_lpad(pc.cast(pa.array(inv), pa.string()), 13, "0"),
-            pc.utf8_lpad(pc.cast(pa.array(ids[sel]), pa.string()), 20, "0"),
-            "",
-        )
-        return pa.table({"lang": pa.array(langs[sel]), "k": k})
-
-    winners = (
-        _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-        .map_batches(score_collapse, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Min("k", alias_name="k"))
-    )
-    decode_empty = pa.schema(
-        [("lang", pa.string()), ("doc_id", pa.int64()),
-         ("score", pa.float64()), ("k", pa.string())]
-    ).empty_table()
-
-    def decode(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return decode_empty
-        inv = pc.cast(pc.utf8_slice_codeunits(b["k"], 0, 13), pa.int64())
-        s = pc.divide(pc.cast(pc.subtract(pa.scalar(10**13 - 1, pa.int64()), inv),
-                              pa.float64()), 1e6)
-        return pa.table(
-            {
-                "lang": b["lang"],
-                "doc_id": pc.cast(pc.utf8_slice_codeunits(b["k"], 13, 33), pa.int64()),
-                "score": s,
-                "k": b["k"],
-            }
-        )
-
-    top = winners.map_batches(decode, batch_format="pyarrow").sort("k").limit(10)
-    out = top.to_pandas()  # <= 10 collapsed rows — page-sized by construction
-    return out[["lang", "doc_id", "score"]]
+    Distributed shape: the Ray index build (cached per scale factor) is
+    the distributed part; df, avgdl and doc lengths come from it, not
+    from a scan.  The query is one ``Scorer.match`` over the index's
+    postings, one (score desc, doc_id asc) ranking, and the first hit
+    per lang — the same step ``group_topk_hits`` takes two deep.  The
+    collapsed groups are already in ranking order, so the page is the
+    first 10."""
+    return _bm25_first_per_lang(sf_dir, 1).head(10)
 
 
 BOOSTING_NEG_TERM, BOOSTING_NEG_FACTOR = "spark", 0.4
@@ -489,36 +391,15 @@ def q_boosting_topk(sf_dir: str):
     `app/actions/search/query.go:21-71`): BM25 over the standard query,
     ×0.4 for docs containing the negative term, global top-10.
 
-    Distributed shape: the bounded stats pass, then one scoring map
-    whose per-batch combiner keeps only the batch-local top-10 (the
-    global top-10 is a subset of the union of batch top-10s), then
-    `sort().limit(10)` over combiner rows — the shuffle carries ≤ 10
-    rows per batch, never the hit list."""
-    terms = tokenize_text(BM25_QUERY)
-    _n_docs, avgdl, idf = _bm25_corpus_stats(sf_dir, terms)
-
-    def score_demote(b: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                          "score": pa.array([], type=pa.float64())})
-        matched, score, parents, toks, n = _bm25_batch_scores(b, terms, idf, avgdl)
-        if not matched.any():
-            return empty
-        neg = pc.equal(toks, BOOSTING_NEG_TERM).to_numpy(zero_copy_only=False)
-        has_neg = np.bincount(parents[neg], minlength=n) > 0
-        score = np.where(has_neg, score * BOOSTING_NEG_FACTOR, score)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[matched]
-        s6 = _round6(score[matched])
-        order = np.lexsort((ids, -s6))[:10]  # batch-local combiner cut
-        return pa.table({"doc_id": pa.array(ids[order]),
-                         "score": pa.array(s6[order])})
-
-    top = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(score_demote, batch_format="pyarrow")
-        .sort(["score", "doc_id"], descending=[True, False])
-        .limit(10)
-    )
-    return top.to_pandas()
+    Distributed shape: both clauses are ``Scorer.match`` queries over
+    the built index (the Ray build is the distributed part); the
+    demotion is one vectorized ``where`` over the positive hits and the
+    page one ``top_k`` cut on (6-dp score desc, doc_id asc)."""
+    sc, ords, doc_ids, scores = _bm25_hits(sf_dir)
+    neg = sc.match("content", [BOOSTING_NEG_TERM]).mask[ords]
+    s6 = _round6(np.where(neg, scores * BOOSTING_NEG_FACTOR, scores))
+    order = top_k(s6, doc_ids, 10)
+    return pd.DataFrame({"doc_id": doc_ids[order], "score": s6[order]})
 
 
 def _sql_boosting_topk() -> str:
@@ -711,88 +592,14 @@ SELECT doc_id, n_chars FROM documents ORDER BY n_chars DESC, doc_id LIMIT 20
 # dedup / fingerprint (G4/G5 + training-data ops)
 # ---------------------------------------------------------------------------
 
-def _md5_hex_column(col) -> pa.Array:
-    """md5 hex per row, hashing the UTF-8 buffer slices directly (no
-    per-row Python string materialization/encode)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    out = []
-    for chunk in chunks:
-        if len(chunk) == 0:
-            continue
-        bufs = chunk.buffers()
-        if len(bufs) < 3 or bufs[2] is None:
-            out.extend(hashlib.md5(b"").hexdigest() for _ in range(len(chunk)))
-            continue
-        odt = np.int64 if pa.types.is_large_string(chunk.type) else np.int32
-        offs = np.frombuffer(bufs[1], dtype=odt, count=len(chunk) + chunk.offset + 1)[
-            chunk.offset :
-        ]
-        data = memoryview(bufs[2])
-        out.extend(
-            hashlib.md5(data[offs[i] : offs[i + 1]]).hexdigest() for i in range(len(chunk))
-        )
-    return pa.array(out, type=pa.string())
-
-
-def _md5_u32_column(col) -> np.ndarray:
-    """First 32 md5 bits per row as uint32 (same buffer-slice hashing as
-    :func:`_md5_hex_column`; numerically equal to parsing the first 8
-    hex chars, which is how the SQL oracles express the same draw)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    out: list[int] = []
-    for chunk in chunks:
-        if len(chunk) == 0:
-            continue
-        bufs = chunk.buffers()
-        if len(bufs) < 3 or bufs[2] is None:
-            empty = int.from_bytes(hashlib.md5(b"").digest()[:4], "big")
-            out.extend(empty for _ in range(len(chunk)))
-            continue
-        odt = np.int64 if pa.types.is_large_string(chunk.type) else np.int32
-        offs = np.frombuffer(bufs[1], dtype=odt, count=len(chunk) + chunk.offset + 1)[
-            chunk.offset :
-        ]
-        data = memoryview(bufs[2])
-        out.extend(
-            int.from_bytes(hashlib.md5(data[offs[i] : offs[i + 1]]).digest()[:4], "big")
-            for i in range(len(chunk))
-        )
-    return np.array(out, dtype=np.uint32)
-
-
-def _md5_low64_column(col) -> np.ndarray:
-    """Low 8 digest bytes (little-endian) of md5 per row — DuckDB's
-    ``md5_number_lower`` — over the UTF-8 buffer slices."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    out: list[int] = []
-    for chunk in chunks:
-        if len(chunk) == 0:
-            continue
-        bufs = chunk.buffers()
-        if len(bufs) < 3 or bufs[2] is None:
-            empty = int(np.frombuffer(hashlib.md5(b"").digest(), dtype="<u8")[1])
-            out.extend(empty for _ in range(len(chunk)))
-            continue
-        odt = np.int64 if pa.types.is_large_string(chunk.type) else np.int32
-        offs = np.frombuffer(bufs[1], dtype=odt, count=len(chunk) + chunk.offset + 1)[
-            chunk.offset :
-        ]
-        data = memoryview(bufs[2])
-        out.extend(
-            int(
-                np.frombuffer(
-                    hashlib.md5(data[offs[i] : offs[i + 1]]).digest(), dtype="<u8"
-                )[1]
-            )
-            for i in range(len(chunk))
-        )
-    return np.array(out, dtype=np.uint64)
+def _md5_hex(col) -> pa.Array:
+    """md5 per row of a string column as lowercase hex, the way SQL
+    ``md5()`` prints it (one ``bytes.hex`` over every digest)."""
+    d = md5_digests(col)
+    offsets = np.arange(0, 32 * len(d) + 1, 32, dtype=np.int32)
+    return pa.StringArray.from_buffers(
+        len(d), pa.py_buffer(offsets), pa.py_buffer(d.tobytes().hex().encode())
+    )
 
 
 def q_exact_dedup(sf_dir: str):
@@ -802,7 +609,7 @@ def q_exact_dedup(sf_dir: str):
     from ray.data.aggregate import Count, Min
 
     def add_hash(b: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": b["doc_id"], "h": _md5_hex_column(b["text"])})
+        return pa.table({"doc_id": b["doc_id"], "h": _md5_hex(b["text"])})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(add_hash, batch_format="pyarrow")
     out = ds.groupby("h").aggregate(
@@ -834,7 +641,7 @@ def q_fingerprint(sf_dir: str):
         # one binary_join kernel; md5 over the joined buffer slices
         lists = pa.ListArray.from_arrays(pa.array(offs), terms)
         joined = pc.binary_join(lists, " ")
-        return pa.table({"doc_id": b["doc_id"], "fingerprint": _md5_hex_column(joined)})
+        return pa.table({"doc_id": b["doc_id"], "fingerprint": _md5_hex(joined)})
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
 
@@ -1175,7 +982,7 @@ def q_hash_split(sf_dir: str):
     map; the md5 runs over the raw UTF-8 buffer slices."""
 
     def f(b: pa.Table) -> pa.Table:
-        h = _md5_hex_column(b["text"])
+        h = _md5_hex(b["text"])
         is_train = pc.less(pc.utf8_slice_codeunits(h, 0, 2), "e6")
         return pa.table(
             {
@@ -1211,7 +1018,7 @@ def q_stratified_sample(sf_dir: str):
     strata.  Narrow per-row map; no shuffle."""
 
     def f(b: pa.Table) -> pa.Table:
-        h4 = pc.utf8_slice_codeunits(_md5_hex_column(b["text"]), 0, 4)
+        h4 = pc.utf8_slice_codeunits(_md5_hex(b["text"]), 0, 4)
         thr = pa.array(
             [SAMPLE_THR.get(lang, "ffffg")  # > any hex: keep all
              for lang in b["lang"].to_pylist()],
@@ -1282,7 +1089,7 @@ def q_mix_weights(sf_dir: str):
                 salted = pc.binary_join_element_wise(
                     b["text"], pa.array([f"#{e}"] * b.num_rows, type=pa.string()), ""
                 )
-                h4 = pc.utf8_slice_codeunits(_md5_hex_column(salted), 0, 4)
+                h4 = pc.utf8_slice_codeunits(_md5_hex(salted), 0, 4)
                 frac_keep = pc.and_(pa.array(at_frac), pc.less(h4, thr))
                 keep = pc.or_(pa.array(in_full), frac_keep)
             else:
@@ -1669,7 +1476,7 @@ def q_late_window_agg(sf_dir: str):
 
     def derive(b: pa.Table) -> pa.Table:
         ids = b["event_id"].combine_chunks() if isinstance(b["event_id"], pa.ChunkedArray) else b["event_id"]
-        h = _md5_u32_column(pc.cast(ids, pa.string())).astype(np.int64)
+        h = md5_digests(pc.cast(ids, pa.string())).view(">u4")[:, 0].astype(np.int64)
         ts_us = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         arrival = ts_us + (h % LATE_JITTER_HOURS) * 3_600_000_000
         return b.append_column("arrival", pa.array(arrival, type=pa.int64()))
@@ -2013,7 +1820,7 @@ def q_split_leakage(sf_dir: str):
     pairs = ngram_jaccard_pairs(docs, n=3, min_inter=5, max_df=NGRAM_MAX_DF)
 
     def split_tbl(b: pa.Table) -> pa.Table:
-        h = _md5_hex_column(b["text"])
+        h = _md5_hex(b["text"])
         is_train = pc.less(pc.utf8_slice_codeunits(h, 0, 2), "e6")
         return pa.table(
             {"doc_id": b["doc_id"], "split": pc.if_else(is_train, "train", "val")}
@@ -2231,11 +2038,13 @@ def q_rrf_hybrid(sf_dir: str):
     over the legs where d appears in the top-RRF_DEPTH; final top-10 by
     (rrf desc, doc_id asc).
 
-    Distributed shape: each leg is the bounded-combiner top-N pattern
+    Distributed shape: the lexical leg is a ``Scorer.match`` over the
+    built index (the Ray build is the distributed part) cut to its
+    top-RRF_DEPTH; the dense leg is the bounded-combiner top-N pattern
     (per-batch top-RRF_DEPTH rows feed a ``sort().limit(RRF_DEPTH)`` —
     the shuffle carries ≤ DEPTH rows per batch, never a corpus-sized
-    hit list); the fusion itself touches only the ≤ 2·DEPTH leg rows on
-    the driver, constant in corpus size.  Ranks are assigned over
+    hit list).  The fusion itself touches only the ≤ 2·DEPTH leg rows
+    on the driver, constant in corpus size.  Ranks are assigned over
     integer micro-scores (floor(s·1e6 + 0.5), the SQL-mirrored
     round-half-up) with a doc_id tie-break, so leg ranks — and hence
     the fused order — are deterministic at any parallelism."""
@@ -2243,27 +2052,9 @@ def q_rrf_hybrid(sf_dir: str):
 
     import pyarrow.parquet as pq
 
-    terms = tokenize_text(BM25_QUERY)
-    _n_docs, avgdl, idf = _bm25_corpus_stats(sf_dir, terms)
-
-    def lex_combine(b: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                          "s": pa.array([], type=pa.int64())})
-        matched, score, _parents, _toks, _n = _bm25_batch_scores(b, terms, idf, avgdl)
-        if not matched.any():
-            return empty
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[matched]
-        s_int = np.floor(score[matched] * 1e6 + 0.5).astype(np.int64)
-        order = np.lexsort((ids, -s_int))[:RRF_DEPTH]
-        return pa.table({"doc_id": pa.array(ids[order]), "s": pa.array(s_int[order])})
-
-    lex = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(lex_combine, batch_format="pyarrow")
-        .sort(["s", "doc_id"], descending=[True, False])
-        .limit(RRF_DEPTH)
-        .to_pandas()
-    )
+    _sc, _ords, doc_ids, scores = _bm25_hits(sf_dir)
+    s_int = np.floor(scores * 1e6 + 0.5).astype(np.int64)
+    lex_ids = doc_ids[top_k(s_int, doc_ids, RRF_DEPTH)]
 
     q = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
                       columns=["vec_id", "embedding"])
@@ -2284,7 +2075,7 @@ def q_rrf_hybrid(sf_dir: str):
         cos = (m @ qv) / np.maximum(np.linalg.norm(m, axis=1), 1e-12)
         c_int = np.floor(cos * 1e6 + 0.5).astype(np.int64)
         ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, -c_int))[:RRF_DEPTH]
+        order = top_k(c_int, ids, RRF_DEPTH)
         return pa.table({"doc_id": pa.array(ids[order]), "s": pa.array(c_int[order])})
 
     den = (
@@ -2297,7 +2088,7 @@ def q_rrf_hybrid(sf_dir: str):
 
     # fusion over <= 2*DEPTH rows (summary-sized).  Contribution order
     # is fixed (lexical + dense) so the float sum mirrors the SQL.
-    lex_rank = {int(d): i + 1 for i, d in enumerate(lex["doc_id"])}
+    lex_rank = {int(d): i + 1 for i, d in enumerate(lex_ids)}
     den_rank = {int(d): i + 1 for i, d in enumerate(den["doc_id"])}
     fused = []
     for d in sorted(set(lex_rank) | set(den_rank)):
@@ -2307,7 +2098,7 @@ def q_rrf_hybrid(sf_dir: str):
         fused.append((d, s))
     ids = np.array([d for d, _ in fused], dtype=np.int64)
     rrf = _round6(np.array([s for _, s in fused], dtype=np.float64))
-    order = np.lexsort((ids, -rrf))[:10]
+    order = top_k(rrf, ids, 10)
     return pd.DataFrame({"doc_id": ids[order], "rrf": rrf[order]})
 
 
@@ -3083,7 +2874,7 @@ def q_incremental_neardup(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def _side(b: pa.Table, want_new: bool) -> pa.Table:
-        h = _md5_hex_column(b["text"])
+        h = _md5_hex(b["text"])
         is_new = pc.greater_equal(pc.utf8_slice_codeunits(h, 0, 2), "e6")
         return b.filter(is_new if want_new else pc.invert(is_new))
 
@@ -3369,7 +3160,7 @@ def q_curation_funnel(sf_dir: str):
             kept["lang"],
             "",
         )
-        return pa.table({"h": _md5_hex_column(kept["text"]), "k": packed})
+        return pa.table({"h": _md5_hex(kept["text"]), "k": packed})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     winners = ds.map_batches(score, batch_format="pyarrow").groupby("h").aggregate(
@@ -3603,7 +3394,7 @@ def q_shard_stream(sf_dir: str):
 
     payload = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         lambda b: pa.table(
-            {"doc_id": b["doc_id"], "fingerprint": _md5_hex_column(b["text"])}
+            {"doc_id": b["doc_id"], "fingerprint": _md5_hex(b["text"])}
         ),
         batch_format="pyarrow",
     )
@@ -4321,19 +4112,12 @@ def q_synonym_match(sf_dir: str):
     synonym scores with its own df, nothing is reindexed."""
     from ..analysis.synonyms import expand_terms
     from ..index import IndexReader
-    from ..query.wand import wand_topk
+    from ..query.pagination import topk_page
 
     reader = IndexReader(_built_index(sf_dir))
     terms = expand_terms(tokenize_text(BM25_QUERY), SYNONYMS)
-    hits = wand_topk(reader, "content", terms, k=30)
-    meta = reader.docmeta()
-    ords = np.array([d for d, _ in hits], dtype=np.int64)
-    scores = np.array([s for _, s in hits], dtype=np.float64)
-    doc_ids = meta["path"].to_numpy()[ords].astype(np.int64)
-    order = np.lexsort((doc_ids, -scores))[:10]
-    return pd.DataFrame(
-        {"doc_id": doc_ids[order], "score": np.round(scores[order], 6)}
-    )
+    _ords, doc_ids, scores, _k = topk_page(reader, "content", terms, size=10)
+    return pd.DataFrame({"doc_id": doc_ids, "score": np.round(scores, 6)})
 
 
 def q_rescore_phrase(sf_dir: str):
@@ -4597,7 +4381,7 @@ def q_importance_sample(sf_dir: str):
         # acceptance threshold in 32-bit hash units; floor() mirrors the
         # SQL's CAST(floor(w * 4294967296) AS BIGINT)
         v = np.floor(w * 4294967296.0)
-        u = _md5_u32_column(b["text"]).astype(np.float64)
+        u = md5_digests(b["text"]).view(">u4")[:, 0].astype(np.float64)
         t = pa.table({"doc_id": b["doc_id"], "weight": pa.array(_round6(w))})
         return t.filter(pa.array(u < v))
 
@@ -5183,7 +4967,7 @@ def q_weighted_sample(sf_dir: str):
     k = WEIGHTED_SAMPLE_K
 
     def partial(b: pa.Table) -> pa.Table:
-        u64 = _md5_low64_column(b["text"])
+        u64 = md5_digests(b["text"]).view("<u8")[:, 1]
         w = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
         u = (u64.astype(np.float64) + 1.0) / 18446744073709551616.0
         key = np.log(u) / w
@@ -5494,7 +5278,7 @@ def q_countmin_counts(sf_dir: str):
             salted = pc.binary_join_element_wise(
                 pa.array([salt] * len(keys), type=pa.string()), keys, ""
             )
-            buckets = _md5_u32_column(salted).astype(np.int64) % CM_W
+            buckets = md5_digests(salted).view(">u4")[:, 0].astype(np.int64) % CM_W
             cells = np.zeros(CM_W, dtype=np.int64)
             np.add.at(cells, buckets, cnt)
             for bk in np.flatnonzero(cells):
@@ -5776,7 +5560,7 @@ def q_dismax_topk(sf_dir: str):
     meta = reader.docmeta()
     doc_ids = meta["path"].to_numpy()[ords].astype(np.int64)
     s6 = _round6(s[ords])
-    order = np.lexsort((doc_ids, -s6))[:10]
+    order = top_k(s6, doc_ids, 10)
     return pd.DataFrame({"doc_id": doc_ids[order], "score": s6[order]})
 
 
@@ -5833,7 +5617,7 @@ def q_fuzzy_match(sf_dir: str):
     meta = reader.docmeta()
     doc_ids = meta["path"].to_numpy()[ords].astype(np.int64)
     s6 = _round6(res.scores[ords])
-    order = np.lexsort((doc_ids, -s6))[:10]
+    order = top_k(s6, doc_ids, 10)
     return pd.DataFrame({"doc_id": doc_ids[order], "score": s6[order]})
 
 
@@ -6178,52 +5962,13 @@ WHERE p.inter >= {CONTAINMENT_MIN_INTER}
 
 def q_group_topk_hits(sf_dir: str):
     """ES `top_hits` sub-aggregation analog: the top-2 BM25 hits PER
-    LANG for the flagship query.  Per-batch combiner keeps each lang's
-    batch-local top-2 (a group's global top-2 is a subset of the union
-    of its batch top-2s), then ONE lang-keyed spill exchange takes the
-    vectorized run-length head-2 — the hit list never shuffles, the
-    exchange carries ≤ 2·|langs| rows per batch."""
-    from ..functions.exchange import spill_exchange
+    LANG for the flagship query.
 
-    terms = tokenize_text(BM25_QUERY)
-    _n_docs, avgdl, idf = _bm25_corpus_stats(sf_dir, terms)
-
-    empty = pa.table({
-        "lang": pa.array([], type=pa.string()),
-        "doc_id": pa.array([], type=pa.int64()),
-        "score": pa.array([], type=pa.float64()),
-    })
-
-    def combine(b: pa.Table) -> pa.Table:
-        matched, score, _p, _t, _n = _bm25_batch_scores(b, terms, idf, avgdl)
-        if not matched.any():
-            return empty
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[matched]
-        langs = b["lang"].filter(pa.array(matched))
-        s6 = _round6(score[matched])
-        t = pa.table({"lang": langs, "doc_id": pa.array(ids), "score": pa.array(s6)})
-        t = t.sort_by([("lang", "ascending"), ("score", "descending"),
-                       ("doc_id", "ascending")]).combine_chunks()
-        starts, lens = run_bounds(t["lang"].combine_chunks())
-        k = np.minimum(lens, 2)
-        take = np.concatenate([np.arange(s, s + kk) for s, kk in zip(starts, k)]) \
-            if len(starts) else np.zeros(0, dtype=np.int64)
-        return t.take(pa.array(take))
-
-    def head2(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        t = t.sort_by([("lang", "ascending"), ("score", "descending"),
-                       ("doc_id", "ascending")]).combine_chunks()
-        starts, lens = run_bounds(t["lang"].combine_chunks())
-        k = np.minimum(lens, 2)
-        take = np.concatenate([np.arange(s, s + kk) for s, kk in zip(starts, k)])
-        return t.take(pa.array(take))
-
-    ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"]).map_batches(
-        combine, batch_format="pyarrow"
-    )
-    return spill_exchange(ds, "lang", head2, num_parts=4)
+    Distributed shape: a ``Scorer.match`` over the built index (the Ray
+    build is the distributed part), one (score desc, doc_id asc)
+    ranking, and the first two hits per lang — the step
+    ``collapse_topk`` takes one deep.  Nothing corpus-sized shuffles."""
+    return _bm25_first_per_lang(sf_dir, 2)
 
 
 def _sql_group_topk_hits() -> str:
@@ -6290,8 +6035,6 @@ def q_hll_distinct(sf_dir: str):
     correction applied when raw ≤ 2.5m and empty buckets remain."""
     from ray.data.aggregate import Max, Sum
 
-    from ..functions.dedup import _md5_low64_arr
-
     pow2 = (np.uint64(1) << np.arange(55, dtype=np.uint64)).astype(np.uint64)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -6300,7 +6043,7 @@ def q_hll_distinct(sf_dir: str):
         t = pa.table({"lang": langs, "term": terms}).group_by(
             ["lang", "term"]
         ).aggregate([])
-        h = _md5_low64_arr(t["term"])
+        h = md5_digests(t["term"]).view("<u8")[:, 1]
         bucket = (h >> np.uint64(54)).astype(np.int64)
         w = (h & np.uint64((1 << 54) - 1))
         # bit_length(w) via a power-of-two table (0 for w == 0)

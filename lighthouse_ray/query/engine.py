@@ -36,6 +36,7 @@ import pandas as pd
 from ..analysis import tokenize_text
 from ..index import IndexReader
 from ..index.suggest import WeightedCompleter
+from ..util import top_k
 from .scoring import DenseResult, Scorer
 
 QUOTED_RE = re.compile(r'"([^"]*)"$')
@@ -223,19 +224,11 @@ class SearchEngine:
         else:
             # score desc, claimId asc tie-break (deterministic at any
             # parallelism; ES ties by internal doc order which is not).
-            # argpartition first: lexsorting all candidates' doc_id
-            # strings costs ~100 ms at 1M candidates.
+            # Only the cut's survivors gather their doc_id strings:
+            # lexsorting all of them costs ~100 ms at 1M candidates.
             doc_ids = meta["doc_id"].to_numpy()
             need = (from_ or 0) + (size if size is not None else 10)
-            cand_scores = scores[ords]
-            if len(ords) > 4 * max(need, 1) and need > 0:
-                part = np.argpartition(-cand_scores, need - 1)
-                kth = cand_scores[part[need - 1]]
-                keep = np.flatnonzero(cand_scores >= kth)  # ties kept
-                ords = ords[keep]
-                cand_scores = cand_scores[keep]
-            order = np.lexsort((doc_ids[ords], -cand_scores))
-            ords = ords[order]
+            ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], need)]
 
         k_from = from_ or 0
         k_size = size if size is not None else 10
@@ -619,10 +612,9 @@ class SearchEngine:
 
         ords = np.flatnonzero(mask)
         doc_ids = meta["doc_id"].to_numpy()
-        order = np.lexsort((doc_ids[ords], -scores[ords]))
-        ords = ords[order]
         k_from = from_ or 0
         k_size = size if size is not None else 10
+        ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], k_from + k_size)]
 
         # page on the globally-sorted candidates, THEN ordered-dedup the
         # page (auto_complete.go:126-131)

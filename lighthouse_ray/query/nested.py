@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis.tokenizer import flat_tokens
+from ..util import top_k
 
 K1 = 1.2
 B = 0.75
@@ -178,13 +179,13 @@ def nested_match_topk(
             pm = np.flatnonzero(pcnt > 0)
             sc = psum[pm] / pcnt[pm] if score_mode == "avg" else psum[pm]
         doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)[pm].astype(np.int64)
-        order = np.lexsort((doc_ids, -sc))[:k]
+        order = top_k(sc, doc_ids, k)
         return pa.table({"doc_id": pa.array(doc_ids[order]), "score": pa.array(sc[order])})
 
     part = ds_factory().map_batches(score_batch, batch_format="pyarrow").to_pandas()
     if len(part) == 0:
         return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)})
-    order = np.lexsort((part["doc_id"].to_numpy(), -part["score"].to_numpy()))[:k]
+    order = top_k(part["score"].to_numpy(), part["doc_id"].to_numpy(), k)
     out = part.iloc[order].reset_index(drop=True)
     out["score"] = np.round(out["score"].to_numpy(), 6)
     return out

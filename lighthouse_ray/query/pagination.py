@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..index import IndexReader
+from ..util import top_k
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,61 @@ class PageCursor:
     k_hint: int = 0
 
 
+def topk_page(
+    reader: IndexReader,
+    field: str,
+    terms: list[str],
+    size: int = 10,
+    after: PageCursor | None = None,
+    doc_ids: np.ndarray | None = None,
+    live: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The ``size`` hits right after ``after`` (or the first ``size``)
+    in (score desc, doc_id asc) order, as ``(ords, ids, scores, k)``:
+    internal ordinals, external ids, scores, and the fetch depth that
+    sufficed.  WAND breaks ties on the ordinal, so no fixed over-fetch
+    margin can promise the external-id order; this deepens until it
+    holds.
+
+    ``doc_ids`` maps internal ordinal -> external doc id (defaults to
+    the docmeta ``path`` column cast to int64, the driver-corpus
+    convention; any numpy-sortable id dtype works, including strings).
+    ``live`` (optional bool mask over ordinals) is forwarded to WAND.
+    """
+    from .wand import wand_topk
+
+    none = np.zeros(0, dtype=np.int64)
+    n = reader.n_docs
+    if n == 0:
+        return none, none, np.zeros(0), 0
+    if doc_ids is None:
+        doc_ids = reader.docmeta()["path"].to_numpy().astype(np.int64)
+
+    k = max(4 * size, 16, after.k_hint if after is not None else 0)
+    while True:
+        k = min(k, n)
+        hits = wand_topk(reader, field, terms, k=k, live=live)
+        if not hits:
+            return none, doc_ids[none], np.zeros(0), k
+        frontier = min(s for _, s in hits)
+        exhausted = len(hits) < k or k >= n
+        ords = np.fromiter((d for d, _ in hits), dtype=np.int64, count=len(hits))
+        scores = np.fromiter((s for _, s in hits), dtype=np.float64, count=len(hits))
+        ids = doc_ids[ords]
+        if after is not None:
+            keep = (scores < after.score) | (
+                (scores == after.score) & (ids > after.doc_id)
+            )
+            ords, ids, scores = ords[keep], ids[keep], scores[keep]
+        page = top_k(scores, ids, size)
+        # the page is complete when its worst row scores strictly above
+        # the frontier (ties AT the frontier may be cut by the top-k) or
+        # nothing deeper exists
+        if exhausted or (0 < len(page) == size and scores[page[-1]] > frontier):
+            return ords[page], ids[page], scores[page], k
+        k *= 2
+
+
 def search_after_topk(
     reader: IndexReader,
     field: str,
@@ -57,53 +113,14 @@ def search_after_topk(
 ) -> tuple[list[tuple[int, float]], PageCursor | None]:
     """One page of ``(doc_id, score)`` in (score desc, doc_id asc) order
     starting strictly after ``after``; returns ``(page, next_cursor)``.
-
-    ``doc_ids`` maps internal ordinal -> external doc id (defaults to
-    the docmeta ``path`` column cast to int64, the driver-corpus
-    convention; any numpy-sortable id dtype works, including strings).
     The page order ties on the EXTERNAL id so cursors survive
-    reindexing with a different ordinal assignment.
-
-    ``live`` (optional bool mask over ordinals) is forwarded to WAND —
-    delta-aware serving paginates over live docs only.
-    """
-    from .wand import wand_topk
-
-    n = reader.n_docs
-    if n == 0:
-        return [], None
-    if doc_ids is None:
-        doc_ids = reader.docmeta()["path"].to_numpy().astype(np.int64)
-
-    k = max(4 * size, 16, after.k_hint if after is not None else 0)
-    while True:
-        k = min(k, n)
-        hits = wand_topk(reader, field, terms, k=k, live=live)
-        if not hits:
-            return [], None
-        frontier = min(s for _, s in hits)
-        exhausted = len(hits) < k or k >= n
-        ords = np.fromiter((d for d, _ in hits), dtype=np.int64, count=len(hits))
-        scores = np.fromiter((s for _, s in hits), dtype=np.float64, count=len(hits))
-        ids = doc_ids[ords]
-        order = np.lexsort((ids, -scores))
-        ids, scores = ids[order], scores[order]
-        if after is not None:
-            keep = (scores < after.score) | (
-                (scores == after.score) & (ids > after.doc_id)
-            )
-            ids, scores = ids[keep], scores[keep]
-        # the page is complete when its worst row scores strictly above
-        # the frontier (ties AT the frontier may be cut by the top-k) or
-        # nothing deeper exists
-        have = min(size, len(ids))
-        if exhausted or (have == size and scores[have - 1] > frontier):
-            page = [
-                (v.item() if isinstance(v, np.generic) else v, float(scores[i]))
-                for i, v in ((i, ids[i]) for i in range(have))
-            ]
-            cursor = (
-                PageCursor(page[-1][1], page[-1][0], k_hint=k) if page else None
-            )
-            return page, cursor
-        k *= 2
+    reindexing with a different ordinal assignment; ``doc_ids`` and
+    ``live`` are as in :func:`topk_page` (delta-aware serving
+    paginates over live docs only)."""
+    _ords, ids, scores, k = topk_page(reader, field, terms, size, after, doc_ids, live)
+    page = [
+        (v.item() if isinstance(v, np.generic) else v, float(s))
+        for v, s in zip(ids, scores)
+    ]
+    cursor = PageCursor(page[-1][1], page[-1][0], k_hint=k) if page else None
+    return page, cursor

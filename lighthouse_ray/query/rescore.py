@@ -18,11 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..index import IndexReader
-
-# extra depth fetched beyond the window so boundary score-ties resolve
-# on doc_id identically to a total-order sort (same margin trick as the
-# driver's bm25 gate)
-_TIE_MARGIN = 30
+from ..util import top_k
 
 
 def rescore_phrase_topk(
@@ -43,22 +39,14 @@ def rescore_phrase_topk(
     The window itself is cut in (bm25 desc, doc_id asc) order; the
     re-ranked result is (rescored desc, doc_id asc).
     """
+    from .pagination import topk_page
     from .scoring import Scorer
-    from .wand import wand_topk
 
-    if doc_ids is None:
-        doc_ids = reader.docmeta()["path"].to_numpy().astype(np.int64)
-
-    hits = wand_topk(
-        reader, field, terms, k=min(window + _TIE_MARGIN, reader.n_docs), live=live
+    ords, ids, scores, _k = topk_page(
+        reader, field, terms, size=window, doc_ids=doc_ids, live=live
     )
-    if not hits:
+    if len(ords) == 0:
         return []
-    ords = np.fromiter((d for d, _ in hits), dtype=np.int64, count=len(hits))
-    scores = np.fromiter((s for _, s in hits), dtype=np.float64, count=len(hits))
-    ids = doc_ids[ords]
-    order = np.lexsort((ids, -scores))[:window]
-    ords, ids, scores = ords[order], ids[order], scores[order]
 
     # expensive pass on the window only: positional phrase presence,
     # restricted to the window's ordinals (position-chain work is
@@ -68,5 +56,5 @@ def rescore_phrase_topk(
     )
     rescored = scores + np.where(ph.mask[ords], bonus, 0.0)
 
-    out = np.lexsort((ids, -rescored))[:k]
+    out = top_k(rescored, ids, k)
     return [(int(ids[i]), float(rescored[i])) for i in out]

@@ -92,28 +92,31 @@ class Scorer:
         dl = self.r.doclens(field)[ords]
         return self.k1 * (1.0 - self.b + self.b * dl / self.r.avgdl(field))
 
-    def term_result(self, field: str, term: str, postings: TermPostings | None = None) -> DenseResult:
+    def _term_sparse(self, field: str, term: str, postings: TermPostings | None = None):
+        """(ordinals, scores) for one term's BM25, no dense allocation;
+        None when the term has no postings."""
         tp = postings if postings is not None else self.r.lookup(field, term)
-        out = DenseResult.empty(self.n)
         if tp is None or tp.df == 0:
-            return out
+            return None
         ords = tp.ordinals.astype(np.int64)
         tf = tp.tfs.astype(np.float64)
         s = self.idf(tp.df) * tf * (self.k1 + 1.0) / (tf + self._norm(field, ords))
-        out.scores[ords] = s
-        out.mask[ords] = True
+        return ords, s
+
+    def term_result(self, field: str, term: str, postings: TermPostings | None = None) -> DenseResult:
+        out = DenseResult.empty(self.n)
+        hit = self._term_sparse(field, term, postings)
+        if hit is not None:
+            out.scores[hit[0]] = hit[1]
+            out.mask[hit[0]] = True
         return out
 
     def _accumulate_term(self, field: str, term: str, scores: np.ndarray, mask: np.ndarray) -> None:
         """Add one term's BM25 into dense accumulators (no allocation)."""
-        tp = self.r.lookup(field, term)
-        if tp is None or tp.df == 0:
-            return
-        ords = tp.ordinals.astype(np.int64)
-        tf = tp.tfs.astype(np.float64)
-        s = self.idf(tp.df) * tf * (self.k1 + 1.0) / (tf + self._norm(field, ords))
-        scores[ords] += s
-        mask[ords] = True
+        hit = self._term_sparse(field, term)
+        if hit is not None:
+            scores[hit[0]] += hit[1]
+            mask[hit[0]] = True
 
     def match(self, field: str, terms: list[str]) -> DenseResult:
         """ES ``match``: sum of per-term BM25, OR semantics."""
@@ -121,16 +124,6 @@ class Scorer:
         for t in terms:
             self._accumulate_term(field, t, out.scores, out.mask)
         return out
-
-    def _term_sparse(self, field: str, term: str):
-        """(ordinals, scores) for one term's BM25, no dense allocation."""
-        tp = self.r.lookup(field, term)
-        if tp is None or tp.df == 0:
-            return None
-        ords = tp.ordinals.astype(np.int64)
-        tf = tp.tfs.astype(np.float64)
-        s = self.idf(tp.df) * tf * (self.k1 + 1.0) / (tf + self._norm(field, ords))
-        return ords, s
 
     def match_fuzzy(self, field: str, terms: list[str]) -> DenseResult:
         """``match`` with fuzziness=AUTO (query.go:131,177): per term,

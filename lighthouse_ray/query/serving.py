@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 import ray
 
+from ..util import top_k
 from .engine import SearchError
 
 # straggler hedging (K > 1, R >= 2): once the quorum of ranges has
@@ -182,6 +183,9 @@ class SearchService:
         df = pd.concat(self._gather(row, futs, call), ignore_index=True)
         sort_by = call.get("sort_by")
         if len(df):
+            k_from = call.get("from_") or 0
+            size = call.get("size")
+            k_size = size if size is not None else 10
             if sort_by is not None:
                 field = sort_by.lstrip("^")
                 order = np.lexsort(
@@ -190,10 +194,8 @@ class SearchService:
                 if not sort_by.startswith("^"):
                     order = order[::-1]
             else:
-                order = np.lexsort((df["claimId"].to_numpy(), -df["score"].to_numpy()))
-            k_from = call.get("from_") or 0
-            size = call.get("size")
-            k_size = size if size is not None else 10
+                order = top_k(df["score"].to_numpy(), df["claimId"].to_numpy(),
+                              k_from + k_size)
             df = df.iloc[order[k_from : k_from + k_size]].reset_index(drop=True)
         if inject is not None and inject in df.columns:
             df = df.drop(columns=[inject])
@@ -230,12 +232,12 @@ class SearchService:
         names = [n for p in parts for n in p[0]]
         scores = np.asarray([v for p in parts for v in p[1]], dtype=np.float64)
         doc_ids = np.asarray([d for p in parts for d in p[2]], dtype=object)
-        order = np.lexsort((doc_ids, -scores))
         k_from = from_ or 0
         k_size = size if size is not None else 10
+        order = top_k(scores, doc_ids, k_from + k_size)
         seen: set[str] = set()
         out: list[str] = []
-        for i in order[k_from : k_from + k_size]:
+        for i in order[k_from:]:
             nm = names[int(i)]
             if nm not in seen:  # ordered dedup (auto_complete.go:126-131)
                 seen.add(nm)

@@ -25,6 +25,7 @@ import heapq
 import numpy as np
 
 from ..index import IndexReader, TermPostings
+from ..util import top_k
 
 _INF = np.iinfo(np.int64).max
 
@@ -77,26 +78,15 @@ def _dense_topk(
 ) -> list[tuple[int, float]]:
     """Vectorized dense-regime top-k: exactly the exhaustive scorer
     (same accumulation order, so scores are bit-identical to
-    :func:`exhaustive_topk`) plus the live mask and an
-    argpartition-with-exact-tie-recovery cut instead of a full sort."""
+    :func:`exhaustive_topk`) plus the live mask, cut by
+    :func:`~lighthouse_ray.util.top_k` instead of a full sort."""
     from .scoring import Scorer
 
     res = Scorer(reader).match(field, list(dict.fromkeys(terms)))
     mask = res.mask if live is None else (res.mask & live)
     cand = np.flatnonzero(mask)
-    if len(cand) == 0:
-        return []
     scores = res.scores[cand]
-    if len(cand) > k:
-        # kth-largest score, then keep every candidate at or above it:
-        # ordinal ties at the boundary survive into the final lexsort,
-        # so the cut can never reorder the (score desc, ordinal asc)
-        # contract
-        s_k = -np.partition(-scores, k - 1)[k - 1]
-        keep = scores >= s_k
-        cand, scores = cand[keep], scores[keep]
-    order = np.lexsort((cand, -scores))[:k]
-    return [(int(cand[i]), float(scores[i])) for i in order]
+    return [(int(cand[i]), float(scores[i])) for i in top_k(scores, cand, k)]
 
 
 def wand_topk(

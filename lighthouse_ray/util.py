@@ -1,4 +1,5 @@
-"""Small shared helpers (stable hashing, atomic writes, the spill writer)."""
+"""Small shared helpers (stable hashing, md5 of a column, the top-k cut,
+atomic writes, the spill writer)."""
 
 from __future__ import annotations
 
@@ -40,6 +41,57 @@ def stable_hash64(s: str) -> int:
     """Process-independent 64-bit hash (sha1 prefix). Python's builtin
     ``hash`` is salted per process and MUST NOT be used for partitioning."""
     return int.from_bytes(hashlib.sha1(s.encode("utf-8")).digest()[:8], "big")
+
+
+def md5_digests(col) -> np.ndarray:
+    """md5 of every row of an Arrow string column (Array or
+    ChunkedArray, ``string`` or ``large_string``) as an ``(n, 16)``
+    uint8 array.  Hashes the UTF-8 buffer slices in place, with no
+    per-row Python strings; a null row hashes as "".  Callers read what
+    they need off the rows: ``.view(">u4")[:, 0]`` is the top 32 bits,
+    ``.view("<u8")[:, 1]`` the low 64 (DuckDB's ``md5_number_lower``)."""
+    md5 = hashlib.md5
+    parts = []
+    for chunk in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+        n = len(chunk)
+        if n == 0:
+            continue
+        bufs = chunk.buffers()
+        if bufs[2] is None:  # every row empty
+            parts.append(md5(b"").digest() * n)
+            continue
+        odt = np.int64 if pa.types.is_large_string(chunk.type) else np.int32
+        offs = np.frombuffer(bufs[1], dtype=odt, count=n + chunk.offset + 1)[chunk.offset:].tolist()
+        data = memoryview(bufs[2])
+        parts.append(b"".join(md5(data[a:b]).digest() for a, b in zip(offs, offs[1:])))
+    return np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(-1, 16)
+
+
+def top_k(scores, ids, k: int | None = None) -> np.ndarray:
+    """Positions of the ``k`` best ``scores`` in the one ranking order
+    of the query stack: score descending, ties on id ascending
+    (``search.go:113-116``).  Equal to ``np.lexsort((ids, -scores))[:k]``
+    on every input; ``k=None`` orders every position.
+
+    Over more than 4k candidates an argpartition finds the k-th score
+    first, and only the candidates at or above it (every tie of the
+    k-th kept) reach the lexsort.  ``ids`` is an array aligned with
+    ``scores``, or a function from a position array to those
+    positions' ids; it is read after the cut only, so a caller whose
+    ids need a gather pays it for the survivors."""
+    neg = -np.asarray(scores)
+    n = len(neg)
+    k = n if k is None else min(k, n)
+    if k <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if n > 4 * k:
+        kth = neg[np.argpartition(neg, k - 1)[k - 1]]
+        if kth == kth:  # a NaN k-th (NaNs sort last) keeps everything
+            keep = np.flatnonzero(neg <= kth)
+            cut = ids(keep) if callable(ids) else ids[keep]
+            return keep[np.lexsort((cut, neg[keep]))[:k]]
+    every = ids(np.arange(n)) if callable(ids) else ids
+    return np.lexsort((every, neg))[:k]
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

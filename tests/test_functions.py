@@ -1787,45 +1787,54 @@ def test_boilerplate_strip_lines(ray_session):
     assert r["text_clean"] == weird and r["n_removed"] == 0
 
 
-def test_collapse_topk_vs_bruteforce(ray_session):
-    """ES field collapsing (gate collapse_topk) pinned against a pure-
-    Python BM25 + argmax-per-lang reference at sf0.001 — independent of
-    the DuckDB oracle the driver uses."""
+def _flagship_bm25():
+    """Pure-Python BM25 of the flagship query over sf0.001's documents,
+    independent of the index and of the DuckDB oracle: ``[(doc_id,
+    lang, tokens, score)]`` for every matching doc, raw score."""
     import math
 
     import pyarrow.parquet as pq
 
     from lighthouse_ray.analysis import tokenize_text
-    from lighthouse_ray.pipelines.driver_queries import (
-        B, BM25_QUERY, K1, q_collapse_topk,
-    )
+    from lighthouse_ray.pipelines.driver_queries import B, BM25_QUERY, K1
 
     docs = pq.read_table(SF + "/documents.parquet", columns=["doc_id", "text", "lang"])
-    ids = docs["doc_id"].to_pylist()
-    texts = docs["text"].to_pylist()
-    langs = docs["lang"].to_pylist()
-    toks = {d: tokenize_text(t) for d, t in zip(ids, texts)}
+    toks = [tokenize_text(t) for t in docs["text"].to_pylist()]
     terms = tokenize_text(BM25_QUERY)
-
-    n = len(ids)
-    avgdl = sum(len(t) for t in toks.values()) / n
-    df = {t: sum(1 for ts in toks.values() if t in ts) for t in terms}
+    n = len(toks)
+    avgdl = sum(len(ts) for ts in toks) / n
+    df = {t: sum(1 for ts in toks if t in ts) for t in terms}
     idf = {t: math.log(1.0 + (n - df[t] + 0.5) / (df[t] + 0.5)) for t in terms}
 
-    best: dict[str, tuple[float, int]] = {}
-    for d, lang in zip(ids, langs):
-        ts = toks[d]
+    rows = []
+    for d, lang, ts in zip(docs["doc_id"].to_pylist(), docs["lang"].to_pylist(), toks):
         dl = len(ts)
-        score = 0.0
-        hit = False
+        score, hit = 0.0, False
         for t in terms:
             tf = ts.count(t)
             if tf:
                 hit = True
                 score += idf[t] * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / avgdl))
-        if not hit:
-            continue
-        s6 = math.floor(score * 1e6 + 0.5) / 1e6
+        if hit:
+            rows.append((d, lang, ts, score))
+    return rows
+
+
+def _r6(x: float) -> float:
+    import math
+
+    return math.floor(x * 1e6 + 0.5) / 1e6
+
+
+def test_collapse_topk_vs_bruteforce(ray_session):
+    """ES field collapsing (gate collapse_topk) pinned against a pure-
+    Python BM25 + argmax-per-lang reference at sf0.001 — independent of
+    the DuckDB oracle the driver uses."""
+    from lighthouse_ray.pipelines.driver_queries import q_collapse_topk
+
+    best: dict[str, tuple[float, int]] = {}
+    for d, lang, _ts, score in _flagship_bm25():
+        s6 = _r6(score)
         cur = best.get(lang)
         # score desc, doc_id asc
         if cur is None or (-s6, d) < (-cur[0], cur[1]):
@@ -1841,63 +1850,42 @@ def test_collapse_topk_vs_bruteforce(ray_session):
     assert got.lang.is_unique and len(got) == len(want)
 
 
+def test_group_topk_hits_vs_bruteforce(ray_session):
+    """ES top_hits per lang (gate group_topk_hits): the top-2 hits of
+    every lang by (6-dp score desc, doc_id asc), pinned against the
+    pure-Python BM25 at sf0.001."""
+    from lighthouse_ray.pipelines.driver_queries import q_group_topk_hits
+
+    by_lang: dict[str, list[tuple[float, int]]] = {}
+    for d, lang, _ts, score in _flagship_bm25():
+        by_lang.setdefault(lang, []).append((-_r6(score), d))
+    want = sorted(
+        (lang, d, -neg) for lang, hits in by_lang.items() for neg, d in sorted(hits)[:2]
+    )
+    # the cut is live: some lang has more hits than it keeps
+    assert any(len(hits) > 2 for hits in by_lang.values())
+    got = q_group_topk_hits(SF)
+    assert sorted((r.lang, r.doc_id, r.score) for r in got.itertuples()) == want
+
+
 def test_boosting_topk_vs_bruteforce(ray_session):
     """ES boosting query (gate boosting_topk): positive BM25, docs with
     the negative term demoted ×negative_boost — pinned against a pure-
     Python reference at sf0.001."""
-    import math
-
-    import pyarrow.parquet as pq
-
-    from lighthouse_ray.analysis import tokenize_text
     from lighthouse_ray.pipelines.driver_queries import (
-        B, BM25_QUERY, BOOSTING_NEG_FACTOR, BOOSTING_NEG_TERM, K1,
-        q_boosting_topk,
+        BOOSTING_NEG_FACTOR, BOOSTING_NEG_TERM, q_boosting_topk,
     )
 
-    docs = pq.read_table(SF + "/documents.parquet", columns=["doc_id", "text"])
-    ids = docs["doc_id"].to_pylist()
-    texts = docs["text"].to_pylist()
-    toks = {d: tokenize_text(t) for d, t in zip(ids, texts)}
-    terms = tokenize_text(BM25_QUERY)
-
-    n = len(ids)
-    avgdl = sum(len(t) for t in toks.values()) / n
-    df = {t: sum(1 for ts in toks.values() if t in ts) for t in terms}
-    idf = {t: math.log(1.0 + (n - df[t] + 0.5) / (df[t] + 0.5)) for t in terms}
-
-    rows = []
-    for d in ids:
-        ts = toks[d]
-        dl = len(ts)
-        score, hit = 0.0, False
-        for t in terms:
-            tf = ts.count(t)
-            if tf:
-                hit = True
-                score += idf[t] * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / avgdl))
-        if not hit:
-            continue
-        if BOOSTING_NEG_TERM in ts:
-            score *= BOOSTING_NEG_FACTOR
-        rows.append((d, math.floor(score * 1e6 + 0.5) / 1e6))
+    hits = _flagship_bm25()
+    rows = [
+        (d, _r6(score * BOOSTING_NEG_FACTOR if BOOSTING_NEG_TERM in ts else score))
+        for d, _lang, ts, score in hits
+    ]
     want = sorted(rows, key=lambda r: (-r[1], r[0]))[:10]
     got = q_boosting_topk(SF)
     assert [(r.doc_id, r.score) for r in got.itertuples()] == want
     # the demotion is live: it reorders the undemoted top-10
-    undemoted = []
-    for d in ids:
-        ts = toks[d]
-        dl = len(ts)
-        score, hit = 0.0, False
-        for t in terms:
-            tf = ts.count(t)
-            if tf:
-                hit = True
-                score += idf[t] * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / avgdl))
-        if hit:
-            undemoted.append((d, math.floor(score * 1e6 + 0.5) / 1e6))
-    plain = sorted(undemoted, key=lambda r: (-r[1], r[0]))[:10]
+    plain = sorted(((d, _r6(score)) for d, _l, _t, score in hits), key=lambda r: (-r[1], r[0]))[:10]
     assert [d for d, _ in want] != [d for d, _ in plain]
 
 

@@ -18,15 +18,13 @@ CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_
 N_DOCS = 400
 
 
-@pytest.fixture(scope="module")
-def setup(ray_session, tmp_path_factory):
+def _build(corpus, tmp_path_factory, name):
     import ray.data as rd
 
     from lighthouse_ray.build import build_index
     from lighthouse_ray.index import IndexReader
 
-    corpus = gen_corpus(N_DOCS)
-    idx = str(tmp_path_factory.mktemp("qextras") / "index")
+    idx = str(tmp_path_factory.mktemp(name) / "index")
     build_index(rd.from_arrow(corpus), idx, CFG)
     reader = IndexReader(idx)
     # external ids permute ordinals (x -> 7919x mod n is a bijection for
@@ -34,6 +32,28 @@ def setup(ray_session, tmp_path_factory):
     doc_ids = (np.arange(reader.n_docs, dtype=np.int64) * 7919) % reader.n_docs
     assert len(np.unique(doc_ids)) == reader.n_docs
     return reader, doc_ids, corpus
+
+
+@pytest.fixture(scope="module")
+def setup(ray_session, tmp_path_factory):
+    return _build(gen_corpus(N_DOCS), tmp_path_factory, "qextras")
+
+
+@pytest.fixture(scope="module")
+def ties(ray_session, tmp_path_factory):
+    """~200 docs that all score the same for "merge sorted runs": half
+    hold the phrase "merge sorted", half the same words out of order.
+    Every cut is decided by the external-id tie-break alone."""
+    import pyarrow as pa
+
+    corpus = gen_corpus(200)
+    i = corpus.schema.get_field_index("content")
+    text = [
+        "merge sorted runs" if j % 2 == 0 else "sorted merge runs"
+        for j in range(corpus.num_rows)
+    ]
+    corpus = corpus.set_column(i, "content", pa.array(text, type=corpus.schema.field(i).type))
+    return _build(corpus, tmp_path_factory, "qties")
 
 
 def _full_ranking(reader, doc_ids, terms):
@@ -107,23 +127,27 @@ def test_expand_terms_order_preserving_union():
     assert expand_terms([], syn) == []
 
 
-@pytest.mark.parametrize("window,bonus", [(30, 2.0), (5, 100.0)])
-def test_rescore_phrase_vs_bruteforce(setup, window, bonus):
+@pytest.mark.parametrize("data,window,bonus", [
+    pytest.param("setup", 30, 2.0, id="30-2.0"),
+    pytest.param("setup", 5, 100.0, id="5-100.0"),
+    pytest.param("ties", 10, 2.0, id="ties-10-2.0"),
+    pytest.param("ties", 30, 100.0, id="ties-30-100.0"),
+])
+def test_rescore_phrase_vs_bruteforce(request, data, window, bonus):
     """rescore == (window cut in (bm25 desc, id asc)) + bonus-if-phrase
-    + re-rank, with phrase presence computed from the raw corpus text."""
+    + re-rank, with phrase presence computed from each doc's stored text."""
     from lighthouse_ray.query.rescore import rescore_phrase_topk
 
-    reader, doc_ids, corpus = setup
+    reader, doc_ids, _ = request.getfixturevalue(data)
     terms = tokenize_text("merge sorted runs")
     phrase = ["merge", "sorted"]
 
     ranked = _full_ranking(reader, doc_ids, terms)[:window]
     id_to_ord = np.empty_like(doc_ids)
     id_to_ord[doc_ids] = np.arange(len(doc_ids))
-    texts = corpus["content"].to_pylist()
 
     def has_phrase(doc_id: int) -> bool:
-        toks = tokenize_text(texts[int(id_to_ord[doc_id])])
+        toks = tokenize_text(reader.doc_content(int(id_to_ord[doc_id])))
         return any(
             toks[i : i + len(phrase)] == phrase for i in range(len(toks) - len(phrase) + 1)
         )
