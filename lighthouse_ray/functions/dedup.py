@@ -14,17 +14,30 @@ data.
   shingles (df > ``max_df``) are dropped before pairing — the standard
   guard against the O(df²) blow-up; the cap is part of the operator's
   semantics and mirrored in the SQL oracle.
-- :func:`minhash_lsh_candidates` / :func:`minhash_dedup_pairs` —
-  shingle → minhash → banded LSH → candidate pairs → EXACT-Jaccard
-  verification of the candidates (so every emitted row is exactly
-  checkable: jaccard >= threshold on true distinct-shingle sets).
+- :func:`containment_pairs` — the same shingle pipeline with the
+  containment score inter/min(na, nb) in place of Jaccard.
+- Banded LSH, one skeleton for MinHash, SimHash and SRP: a batch
+  explodes to one ``(band, bhash, id, payload)`` row per (doc, band)
+  (:func:`_band_rows`), an exchange by (band, bhash) sorts each
+  partition by (combined band key, id) into bucket runs
+  (:func:`_bucket_runs`) and pairs within each run, and for SimHash and
+  SRP an (a, b) exchange keeps the minimum per-pair score
+  (:func:`_banded_pairs`).
+- :func:`minhash_dedup_pairs` — shingle → minhash → banded LSH →
+  candidate pairs → EXACT-Jaccard verification of the candidates (so
+  every emitted row is exactly checkable: jaccard >= threshold on true
+  distinct-shingle sets); :func:`minhash_index_write` /
+  :func:`minhash_index_probe` persist the corpus side once and probe
+  new batches against it.
 - :func:`simhash_signatures` / :func:`simhash_candidates` — 64-bit
   simhash (md5-low64 token hashes — SQL-mirrorable), hamming<=k pairs
   via the pigeonhole band trick; recall is exactly 1 by construction
   (hamming<=3 over 4 disjoint 16-bit bands forces >=1 exact band
   match), so the output equals the exact all-pairs definition.
 - :func:`embedding_cosine_pairs` — exact cosine pairs via blocked
-  all-pairs (each task holds two row blocks, never the full matrix).
+  all-pairs (each task holds two row blocks, never the full matrix);
+  :func:`embedding_lsh_pairs` — signed-random-projection bands with
+  exact in-bucket cosine.
 - :func:`connected_components` — alternating large/small-star rounds
   (Kiveris et al., SoCC'14) as spill exchanges with vectorized
   per-run star steps.
@@ -302,8 +315,19 @@ def _shingle_pairs_reduce(max_df: int | None, pair_bloom_ref=None,
     return reduce_fn
 
 
-def _pair_agg_reduce(min_inter: int | None, min_jaccard: float | None):
-    """Reduce for the pair exchange: global (a, b) sums + Jaccard."""
+# per-pair scores from the global intersection and the riding sizes,
+# keyed by their output column
+_PAIR_SCORES = {
+    "jaccard": lambda inter, na, nb: inter / (na + nb - inter),
+    "containment": lambda inter, na, nb: inter / np.minimum(na, nb),
+}
+
+
+def _pair_agg_reduce(min_inter: int | None, score: str = "jaccard",
+                     min_score: float | None = None):
+    """Reduce for the pair exchange: global (a, b) sums, then the
+    ``score`` column (a :data:`_PAIR_SCORES` key) rounded half-up to
+    6 dp; keeps inter >= ``min_inter`` and score >= ``min_score``."""
 
     def reduce_fn(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -312,7 +336,7 @@ def _pair_agg_reduce(min_inter: int | None, min_jaccard: float | None):
                     "a": pa.array([], type=pa.int64()),
                     "b": pa.array([], type=pa.int64()),
                     "inter": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
+                    score: pa.array([], type=pa.float64()),
                 }
             )
         g = t.group_by(["a", "b"], use_threads=False).aggregate(
@@ -321,23 +345,39 @@ def _pair_agg_reduce(min_inter: int | None, min_jaccard: float | None):
         inter = g["inter_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
         na = g["na_min"].to_numpy(zero_copy_only=False).astype(np.int64)
         nb = g["nb_min"].to_numpy(zero_copy_only=False).astype(np.int64)
-        jac = _round6_up(inter / (na + nb - inter))
+        val = _round6_up(_PAIR_SCORES[score](inter, na, nb))
         keep = np.ones(len(inter), dtype=bool)
         if min_inter is not None:
             keep &= inter >= min_inter
-        if min_jaccard is not None:
-            keep &= jac >= min_jaccard
+        if min_score is not None:
+            keep &= val >= min_score
         ka = pa.array(keep)
         return pa.table(
             {
                 "a": g["a"].filter(ka),
                 "b": g["b"].filter(ka),
                 "inter": pa.array(inter[keep]),
-                "jaccard": pa.array(jac[keep]),
+                score: pa.array(val[keep]),
             }
         )
 
     return reduce_fn
+
+
+def _shingle_pair_scores(exploded, max_df: int | None, num_parts: int,
+                         min_inter: int | None, score: str = "jaccard",
+                         min_score: float | None = None):
+    """The two shingle exchanges over exploded (id, sh, nsh) rows: by
+    sh, within-run pair partials with hot runs dropped; then by (a, b),
+    global sums scored by :func:`_pair_agg_reduce`."""
+    st: dict = {}
+    partial = spill_exchange(
+        exploded, "sh", _shingle_pairs_reduce(max_df), num_parts=num_parts, stats=st
+    )
+    return spill_exchange(
+        partial, ["a", "b"], _pair_agg_reduce(min_inter, score, min_score),
+        num_parts=num_parts, cleanup_after=[st["root"]],
+    )
 
 
 def ngram_jaccard_pairs(ds, n: int = 3, min_inter: int = 5, text_col: str = "text",
@@ -358,14 +398,7 @@ def ngram_jaccard_pairs(ds, n: int = 3, min_inter: int = 5, text_col: str = "tex
     exploded = ds.map_batches(
         lambda b: doc_shingles(b, text_col, id_col, n), batch_format="pyarrow"
     )
-    st: dict = {}
-    partial = spill_exchange(
-        exploded, "sh", _shingle_pairs_reduce(max_df), num_parts=num_parts, stats=st
-    )
-    return spill_exchange(
-        partial, ["a", "b"], _pair_agg_reduce(min_inter, None), num_parts=num_parts,
-        cleanup_after=[st["root"]],
-    )
+    return _shingle_pair_scores(exploded, max_df, num_parts, min_inter)
 
 
 def containment_pairs(ds, n: int = 3, threshold: float = 0.5,
@@ -383,43 +416,8 @@ def containment_pairs(ds, n: int = 3, threshold: float = 0.5,
     exploded = ds.map_batches(
         lambda b: doc_shingles(b, text_col, id_col, n), batch_format="pyarrow"
     )
-    st: dict = {}
-    partial = spill_exchange(
-        exploded, "sh", _shingle_pairs_reduce(max_df), num_parts=num_parts, stats=st
-    )
-
-    def reduce_fn(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "inter": pa.array([], type=pa.int64()),
-                    "containment": pa.array([], type=pa.float64()),
-                }
-            )
-        g = t.group_by(["a", "b"], use_threads=False).aggregate(
-            [("inter", "sum"), ("na", "min"), ("nb", "min")]
-        )
-        inter = g["inter_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        na = g["na_min"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nb = g["nb_min"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cont = _round6_up(inter / np.minimum(na, nb))
-        keep = (inter >= min_inter) & (cont >= threshold)
-        ka = pa.array(keep)
-        return pa.table(
-            {
-                "a": g["a"].filter(ka),
-                "b": g["b"].filter(ka),
-                "inter": pa.array(inter[keep]),
-                "containment": pa.array(cont[keep]),
-            }
-        )
-
-    return spill_exchange(
-        partial, ["a", "b"], reduce_fn, num_parts=num_parts,
-        cleanup_after=[st["root"]],
-    )
+    return _shingle_pair_scores(exploded, max_df, num_parts, min_inter,
+                                "containment", threshold)
 
 
 def winnow_fingerprint_rows(batch: pa.Table, text_col: str, id_col: str,
@@ -507,14 +505,7 @@ def winnow_pairs(ds, *, k: int = 3, w: int = 4, min_shared: int = 2,
         lambda b: winnow_fingerprint_rows(b, text_col, id_col, k, w),
         batch_format="pyarrow",
     )
-    st: dict = {}
-    partial = spill_exchange(
-        exploded, "sh", _shingle_pairs_reduce(max_df), num_parts=num_parts, stats=st
-    )
-    return spill_exchange(
-        partial, ["a", "b"], _pair_agg_reduce(min_shared, None),
-        num_parts=num_parts, cleanup_after=[st["root"]],
-    )
+    return _shingle_pair_scores(exploded, max_df, num_parts, min_shared)
 
 
 def exact_jaccard_for_pair_ds(ds, cand, n: int = 3,
@@ -844,122 +835,112 @@ def _filtered_run_pairs(sigb: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     return np.concatenate(keep_a), np.concatenate(keep_b)
 
 
-def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
-                           num_perm: int = 64, bands: int = 32, k: int = 3,
-                           num_parts: int = 32, dedup: bool = True,
-                           stats: dict | None = None,
-                           prefilter_est: float = 0.0):
-    """MinHash + banded LSH candidate pairs (a, b), deduplicated.
+# ---------------------------------------------------------------------------
+# banded LSH: one skeleton for MinHash, SimHash and SRP
+# ---------------------------------------------------------------------------
 
-    explode (band, bhash, id) → exchange by (band, bhash): within-run
-    pairs → exchange by (a, b): distinct.
+def _band_rows(keys: np.ndarray, ids: pa.Array, **per_doc: pa.Array) -> pa.Table:
+    """One (band, bhash, id, *per_doc) row per (doc, band): the exploded
+    unit of every banded-LSH exchange.  ``keys`` is the (n, bands)
+    uint64 band-key matrix; ``ids`` and every ``per_doc`` column hold n
+    rows and repeat across the doc's bands."""
+    n, bands = keys.shape
+    rep = pa.array(np.repeat(np.arange(n), bands))
+    return pa.table({
+        "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
+        "bhash": pa.array(keys.reshape(-1)),
+        "id": pc.take(ids, rep),
+        **{c: pc.take(v, rep) for c, v in per_doc.items()},
+    })
 
-    ``prefilter_est`` > 0 arms the HOT-BUCKET GUARD: explode carries a
-    ``num_perm``-byte sketch (low byte of each minhash value) through
-    the shuffle, and bucket_reduce drops within-run pairs whose sketch
-    agreement is < ceil(num_perm * prefilter_est) BEFORE they become
-    rows.  Rationale (measured on the 878k synthetic code corpus,
-    scripts/diag_lsh_*.py): template code makes r=2 band buckets of
-    10^3-10^4 docs whose pairwise Jaccard is 0.03-0.12 — all-pairs
-    expansion is ~1.7e9 candidate rows and killed the reduce task,
-    while a sketch cutoff at est >= 0.25 keeps 8e-5 of hot-bucket
-    pairs and 2.8e-3 of small-bucket pairs.  With prefilter_est =
-    threshold/2 and num_perm=64, a TRUE pair at j >= 0.5 is dropped
-    with prob P[Binom(64, ~0.5) < 16] ≈ 2e-5 — below the banding's own
-    documented miss probability (1-j^2)^32 <= 7e-5, and deterministic
-    (seeded hashers), so oracle parity is preserved.  The extra sketch
-    byte collisions (1/256 per non-equal value) only bias TOWARD
-    keeping.  0.0 = off (exact all-pairs expansion, no sketch carried).
 
-    ``dedup=False`` skips the second (distinct) exchange and returns
-    per-bucket pairs that may repeat across bands; callers that already
-    dedupe (e.g. :func:`minhash_dedup_pairs`, whose verification stage
-    sets the pair list) save a full exchange."""
-    min_agree = int(np.ceil(num_perm * prefilter_est)) if prefilter_est > 0 else 0
+def _bucket_runs(t: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """Sort one (band, bhash) exchange partition by (combined band key,
+    id) and run-length it: each run is one LSH bucket, ids ascending."""
+    k = combine_hashes(
+        t["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
+        t["bhash"].to_numpy(zero_copy_only=False).astype(np.uint64),
+    )
+    order = pc.sort_indices(
+        pa.table({"k": k, "id": t["id"]}),
+        sort_keys=[("k", "ascending"), ("id", "ascending")],
+    )
+    starts, lens = run_bounds(k[order.to_numpy()])
+    return t.take(order).combine_chunks(), starts, lens
 
-    def explode(batch: pa.Table) -> pa.Table:
-        sigt = minhash_signatures(batch, text_col, id_col, num_perm, k)
-        n = sigt.num_rows
-        if n == 0:
-            cols = {
-                "band": pa.array([], type=pa.int32()),
-                "bhash": pa.array([], type=pa.uint64()),
-                "id": pa.array([], type=batch[id_col].type),
-            }
-            if min_agree:
-                cols["sig8"] = pa.array([], type=pa.binary(num_perm))
-            return pa.table(cols)
-        sigs = np.asarray(sigt["sig"].combine_chunks().flatten()).reshape(n, num_perm)
-        # docs with no tokens keep the all-max sentinel signature; they
-        # have no shingles and must not pair
-        nonempty = ~(sigs == np.iinfo(np.uint64).max).all(axis=1)
-        bh = _band_hashes(sigs.astype(np.uint64), bands)
-        ids = sigt[id_col].combine_chunks()
-        sel = np.flatnonzero(nonempty)
-        m = len(sel)
-        cols = {
-            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), m)),
-            "bhash": pa.array(bh[sel].reshape(-1)),
-            "id": pc.take(ids, pa.array(np.repeat(sel, bands))),
-        }
-        if min_agree:
-            sk = np.repeat((sigs[sel] & np.uint64(0xFF)).astype(np.uint8), bands, axis=0)
-            cols["sig8"] = pa.Array.from_buffers(
-                pa.binary(num_perm), m * bands, [None, pa.py_buffer(sk.tobytes())]
-            )
-        return pa.table(cols)
+
+def _min_per_pair(t: pa.Table, col: str | None = None) -> pa.Table:
+    """Collapse (a, b) rows (one per shared band) to one, keeping the
+    minimum ``col``; with no score column, the distinct (a, b)."""
+    if t.num_rows == 0:
+        return t
+    g = t.group_by(["a", "b"], use_threads=False).aggregate(
+        [(col, "min")] if col else []
+    )
+    if col is None:
+        return g
+    return pa.table({"a": g["a"], "b": g["b"], col: g[f"{col}_min"]})
+
+
+def _banded_pairs(rows, num_parts: int, score, score_field: pa.Field):
+    """Scored pairs from exploded band rows.  The (band, bhash) exchange
+    pairs every two rows of a bucket run (i < j in (key, id) order),
+    scores them with ``score(t, a_idx, b_idx) -> (values, keep)`` and
+    keeps each pair's minimum ``score_field`` within the partition;
+    an (a, b) exchange then keeps the minimum across partitions."""
+    empty = pa.schema([("a", pa.int64()), ("b", pa.int64()), score_field]).empty_table()
 
     def bucket_reduce(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
-        )
         if t.num_rows == 0:
             return empty
-        cols = {
-            "k": pa.array(
-                combine_hashes(
-                    t["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                    t["bhash"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                )
-            ),
-            "id": t["id"],
-        }
-        if min_agree:
-            cols["sig8"] = t["sig8"]
-        key = pa.table(cols).sort_by([("k", "ascending"), ("id", "ascending")])
-        starts, lens = run_bounds(key["k"].combine_chunks())
-        if min_agree:
-            sigb = _fsb_bytes(key["sig8"], num_perm)
-            a_idx, b_idx = _filtered_run_pairs(sigb, starts, lens, min_agree)
-        else:
-            a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
-        if len(a_idx) == 0:
+        t, starts, lens = _bucket_runs(t)
+        a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
+        vals, keep = score(t, a_idx, b_idx)
+        if not keep.any():
             return empty
-        ids = key["id"].combine_chunks()
-        p = pa.table({"a": pc.take(ids, pa.array(a_idx)), "b": pc.take(ids, pa.array(b_idx))})
-        return p.group_by(["a", "b"], use_threads=False).aggregate([])
-
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
-            )
-        return t.group_by(["a", "b"], use_threads=False).aggregate([])
+        ids = t["id"]
+        pairs = pa.table({
+            "a": pc.take(ids, pa.array(a_idx[keep])),
+            "b": pc.take(ids, pa.array(b_idx[keep])),
+            score_field.name: pa.array(vals[keep]),
+        })
+        return _min_per_pair(pairs, score_field.name)
 
     st: dict = {}
     cands = spill_exchange(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["band", "bhash"],
-        bucket_reduce,
-        num_parts=num_parts,
-        stats=st,
+        rows, ["band", "bhash"], bucket_reduce, num_parts=num_parts, stats=st
     )
-    if not dedup:
-        if stats is not None:
-            stats["root"] = st["root"]
-        return cands
-    return spill_exchange(cands, ["a", "b"], pair_dedup, num_parts=num_parts,
-                          cleanup_after=[st["root"]], stats=stats)
+    return spill_exchange(
+        cands, ["a", "b"], lambda t: _min_per_pair(t, score_field.name),
+        num_parts=num_parts, cleanup_after=[st["root"]],
+    )
+
+
+def _minhash_band_rows(batch: pa.Table, text_col: str, id_col: str,
+                       num_perm: int, bands: int, k: int) -> pa.Table:
+    """(band, bhash, id, sig8) rows for one batch — the exploded unit of
+    :func:`minhash_dedup_pairs` and the persisted and probed unit of the
+    incremental index.  ``sig8`` is the low byte of each minhash value,
+    the sketch the hot-bucket guard compares.  Ids are cast to int64,
+    the contract of every caller."""
+    sigt = minhash_signatures(batch, text_col, id_col, num_perm, k)
+    sigs = np.asarray(sigt["sig"].combine_chunks().flatten()).reshape(-1, num_perm)
+    # all-max sentinel = doc with no shingles: must not pair
+    sel = np.flatnonzero(~(sigs == np.iinfo(np.uint64).max).all(axis=1))
+    sk = (sigs[sel] & np.uint64(0xFF)).astype(np.uint8)
+    return _band_rows(
+        _band_hashes(sigs[sel].astype(np.uint64), bands),
+        pc.take(sigt[id_col].combine_chunks().cast(pa.int64()), pa.array(sel)),
+        sig8=pa.Array.from_buffers(
+            pa.binary(num_perm), len(sel), [None, pa.py_buffer(sk.tobytes())]
+        ),
+    )
+
+
+def _sketch_min_agree(num_perm: int, threshold: float) -> int:
+    """Sketch bytes a candidate pair must share to survive the
+    hot-bucket guard: ``num_perm`` x ``threshold / 2``, rounded up."""
+    return int(np.ceil(num_perm * (threshold / 2.0)))
 
 
 def minhash_dedup_pairs(ds, threshold: float = 0.5, k: int = 3,
@@ -970,39 +951,67 @@ def minhash_dedup_pairs(ds, threshold: float = 0.5, k: int = 3,
     pairs from banded LSH, exact distinct-shingle Jaccard computed for
     each candidate, keep jaccard >= threshold.
 
+    explode (band, bhash, id, sig8) → exchange by (band, bhash):
+    sketch-filtered within-bucket pairs → exact verification.
+
     With bands=32 (r=2) the probability of missing a pair at
     jaccard >= 0.5 is (1 - j^2)^32 <= 7e-5 — and the whole pipeline is
     deterministic (seeded hashers), so the output is stable across runs
     and layouts.  Every emitted row satisfies the exact SQL predicate,
     which is how the driver oracle checks it.
 
-    CONTRACT: ``id_col`` must uniquely identify a text.  One id mapping
-    to several different texts makes per-doc sizes (na/nb) ill-defined
-    and the output partition-layout-dependent (observed on a corpus
-    whose derived ids collided) — dedupe or re-key upstream first.
+    CONTRACT: ``id_col`` holds int64 ids, and each id must uniquely
+    identify a text.  One id mapping to several different texts makes
+    per-doc sizes (na/nb) ill-defined and the output
+    partition-layout-dependent (observed on a corpus whose derived ids
+    collided) — dedupe or re-key upstream first.
+
+    HOT-BUCKET GUARD: the bucket reduce drops within-run pairs whose
+    ``sig8`` sketches (the low byte of each minhash value) agree on
+    fewer than ceil(num_perm * threshold / 2) positions BEFORE they
+    become rows.  Rationale (measured on the 878k synthetic code
+    corpus, scripts/diag_lsh_*.py): template code makes r=2 band
+    buckets of 10^3-10^4 docs whose pairwise Jaccard is 0.03-0.12 —
+    all-pairs expansion is ~1.7e9 candidate rows and killed the reduce
+    task, while a sketch cutoff at est >= 0.25 keeps 8e-5 of hot-bucket
+    pairs and 2.8e-3 of small-bucket pairs.  With num_perm=64 a TRUE
+    pair at j >= 0.5 is dropped with prob P[Binom(64, ~0.5) < 16] ≈
+    2e-5 — below the banding's own miss probability, and deterministic,
+    so oracle parity is preserved.  Sketch byte collisions (1/256 per
+    non-equal value) only bias TOWARD keeping.
 
     Candidates stay a DATASET end-to-end: verification routes them
     through :func:`exact_jaccard_for_pair_ds` (bloom id filter + marker
     join), so the driver never holds the pair list — a corpus where
-    every doc is a near-dup verifies in bounded driver memory.
+    every doc is a near-dup verifies in bounded driver memory.  Its
+    marker join also collapses the candidates' cross-band duplicates,
+    so no distinct exchange runs."""
+    min_agree = _sketch_min_agree(num_perm, threshold)
 
-    The candidate stage runs with the sketch pre-filter armed at
-    ``threshold / 2`` (see :func:`minhash_lsh_candidates`): hot
-    template-code buckets otherwise expand to ~L^2/2 candidate rows
-    per bucket, and every surviving candidate is exact-verified anyway,
-    so the filter changes cost, not semantics (miss prob ~2e-5, below
-    the banding's own 7e-5)."""
-    cst: dict = {}
-    cand = minhash_lsh_candidates(
-        ds, text_col=text_col, id_col=id_col, num_perm=num_perm, bands=bands,
-        k=k, num_parts=num_parts, dedup=False, stats=cst,
-        prefilter_est=threshold / 2,
+    def bucket_reduce(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.table({"a": pa.array([], type=pa.int64()),
+                             "b": pa.array([], type=pa.int64())})
+        t, starts, lens = _bucket_runs(t)
+        a_idx, b_idx = _filtered_run_pairs(
+            _fsb_bytes(t["sig8"], num_perm), starts, lens, min_agree
+        )
+        ids = t["id"]
+        return _min_per_pair(pa.table(
+            {"a": pc.take(ids, pa.array(a_idx)), "b": pc.take(ids, pa.array(b_idx))}
+        ))
+
+    st: dict = {}
+    cand = spill_exchange(
+        ds.map_batches(
+            lambda b: _minhash_band_rows(b, text_col, id_col, num_perm, bands, k),
+            batch_format="pyarrow",
+        ),
+        ["band", "bhash"], bucket_reduce, num_parts=num_parts, stats=st,
     )
-    # the verification stage's marker join collapses the candidates'
-    # cross-band duplicates — no distinct exchange needed
     verified = exact_jaccard_for_pair_ds(
         ds, cand, n=k, text_col=text_col, id_col=id_col, num_parts=num_parts,
-        cleanup_after=[cst["root"]],
+        cleanup_after=[st["root"]],
     )
     return verified.map_batches(
         lambda b: b.filter(pc.greater_equal(b["jaccard"], threshold)),
@@ -1023,41 +1032,6 @@ def minhash_dedup_pairs(ds, threshold: float = 0.5, k: int = 3,
 # near-dup analog of the reference's incremental claim sync
 # (/root/reference/app/jobs/chainquery/chainquery.go:94-166: new rows
 # are synced against the EXISTING index, not a rebuild).
-
-
-def _minhash_band_rows(batch: pa.Table, text_col: str, id_col: str,
-                       num_perm: int, bands: int, k: int) -> pa.Table:
-    """(band, bhash, id, sig8) rows for one batch — the persisted and
-    the probed unit of the incremental near-dup index.  ``sig8`` is the
-    low byte of each minhash value (the hot-bucket sketch carried by
-    :func:`minhash_lsh_candidates` when its pre-filter is armed)."""
-    sigt = minhash_signatures(batch, text_col, id_col, num_perm, k)
-    n = sigt.num_rows
-    empty = pa.table({
-        "band": pa.array([], type=pa.int32()),
-        "bhash": pa.array([], type=pa.uint64()),
-        "id": pa.array([], type=pa.int64()),
-        "sig8": pa.array([], type=pa.binary(num_perm)),
-    })
-    if n == 0:
-        return empty
-    sigs = np.asarray(sigt["sig"].combine_chunks().flatten()).reshape(n, num_perm)
-    # all-max sentinel = doc with no shingles: must not pair
-    sel = np.flatnonzero(~(sigs == np.iinfo(np.uint64).max).all(axis=1))
-    m = len(sel)
-    if m == 0:
-        return empty
-    bh = _band_hashes(sigs.astype(np.uint64), bands)
-    ids = sigt[id_col].combine_chunks().cast(pa.int64())
-    sk = np.repeat((sigs[sel] & np.uint64(0xFF)).astype(np.uint8), bands, axis=0)
-    return pa.table({
-        "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), m)),
-        "bhash": pa.array(bh[sel].reshape(-1)),
-        "id": pc.take(ids, pa.array(np.repeat(sel, bands))),
-        "sig8": pa.Array.from_buffers(
-            pa.binary(num_perm), m * bands, [None, pa.py_buffer(sk.tobytes())]
-        ),
-    })
 
 
 def _doc_shingle_hash_sets(batch: pa.Table, text_col: str, k: int):
@@ -1116,8 +1090,7 @@ def _cross_pair_indices(pstarts, plens, sstarts, slens) -> tuple[np.ndarray, np.
 
 def minhash_index_write(ds, index_dir: str, *, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = 64,
-                        bands: int = 32, k: int = 3, num_parts: int = 32,
-                        store_shingles: bool = True) -> dict:
+                        bands: int = 32, k: int = 3, num_parts: int = 32) -> dict:
     """Persist a corpus's banded minhash signatures as a PROBE-ABLE
     index: one map pass computes (band, bhash, id, sig8) rows and
     spills them hash-partitioned by (band, bhash) — ``part =
@@ -1130,12 +1103,11 @@ def minhash_index_write(ds, index_dir: str, *, text_col: str = "text",
     retries.  No shuffle: the index is exactly one map pass over the
     corpus, O(corpus) work, O(num_perm x bands) bytes per doc.
 
-    ``store_shingles`` (default): the same pass also persists each
-    doc's sorted distinct shingle-hash set (string-window semantics,
-    :func:`_doc_shingle_hash_sets`) partitioned by
-    ``routing_hash(id) % num_parts`` — the probe then exact-verifies
-    candidates from the stored sets and NEVER touches corpus text
-    (``minhash_index_probe(verify="stored")``)."""
+    The same pass also persists each doc's sorted distinct shingle-hash
+    set (string-window semantics, :func:`_doc_shingle_hash_sets`)
+    partitioned by ``routing_hash(id) % num_parts`` — the probe
+    exact-verifies candidates from the stored sets and NEVER touches
+    corpus text.  Ids are int64."""
     import json
 
     from .exchange import _SpillMap
@@ -1143,18 +1115,15 @@ def minhash_index_write(ds, index_dir: str, *, text_col: str = "text",
     sig_root = os.path.join(index_dir, "sig")
     sh_root = os.path.join(index_dir, "shingles")
     os.makedirs(sig_root, exist_ok=True)
+    os.makedirs(sh_root, exist_ok=True)
     sig_spill = _SpillMap(["band", "bhash"], num_parts, sig_root)
-    sh_spill = _SpillMap("id", num_parts, sh_root) if store_shingles else None
-    if store_shingles:
-        os.makedirs(sh_root, exist_ok=True)
+    sh_spill = _SpillMap("id", num_parts, sh_root)
 
     def explode(b: pa.Table) -> pa.Table:
         rows = sig_spill(_minhash_band_rows(b, text_col, id_col, num_perm, bands, k))
         rows = rows.append_column(
             "kind", pa.array(["sig"] * rows.num_rows, type=pa.string())
         )
-        if sh_spill is None:
-            return rows
         flat, offs = _doc_shingle_hash_sets(b, text_col, k)
         nsh = np.diff(offs)
         blob_offs = (offs * 8).astype(np.int64)
@@ -1307,10 +1276,8 @@ def _stored_verify(new_ds, cand, index_dir: str, meta: dict, threshold: float,
                           cleanup_after=cleanup_after)
 
 
-def minhash_index_probe(new_ds, corpus_ds, index_dir: str, *,
-                        threshold: float = 0.5, text_col: str = "text",
-                        id_col: str = "doc_id", num_parts: int = 32,
-                        verify: str = "auto"):
+def minhash_index_probe(new_ds, index_dir: str, *, threshold: float = 0.5,
+                        text_col: str = "text", id_col: str = "doc_id"):
     """Near-dup pairs (a=new doc, b=corpus doc) of a NEW batch against a
     persisted :func:`minhash_index_write` index, exact-verified.
 
@@ -1321,41 +1288,36 @@ def minhash_index_probe(new_ds, corpus_ds, index_dir: str, *,
        signature files, sorts both sides by the combined band-hash key,
        and emits cross-side candidate pairs per matching key run —
        pre-filtered by the sig8 sketch at ``threshold/2`` agreement
-       (identical miss-probability argument to
-       :func:`minhash_lsh_candidates`: ~2e-5 at j >= 0.5, below the
-       banding's own (1-j^2)^32 <= 7e-5);
-    3. verification — ``verify="stored"`` (the default when the index
-       carries a shingle store): candidate pairs are exchanged by the
-       corpus doc's shingle-store partition and each reduce computes
-       exact jaccard from the STORED sorted hash sets plus the probe
-       batch's own sets (broadcast once, probe-sized) — corpus text is
-       NEVER touched, and only candidate-bearing shingle partitions
-       are read.  ``verify="text"``: candidates flow as a Dataset into
-       :func:`exact_jaccard_for_pair_ds` over new ∪ corpus (string-
-       shingle semantics, the oracle's exact formulation).  The stored
-       path equals the text path up to 64-bit shingle-hash collisions
-       (~nsh²/2⁶⁴ per pair, deterministic, content-addressed).
+       (the hot-bucket guard of :func:`minhash_dedup_pairs`: miss prob
+       ~2e-5 at j >= 0.5, below the banding's own (1-j^2)^32 <= 7e-5);
+    3. candidate pairs are exchanged by the corpus doc's shingle-store
+       partition and each reduce computes exact jaccard from the STORED
+       sorted hash sets plus the probe batch's own sets (broadcast once,
+       probe-sized) — corpus text is NEVER touched, and only
+       candidate-bearing shingle partitions are read.  Stored sets are
+       64-bit shingle hashes, so the result equals the string-shingle
+       definition up to hash collisions (~nsh²/2⁶⁴ per pair,
+       deterministic, content-addressed).
 
     CONTRACT: int64 ids, unique across BOTH sides (new ids must not
     collide with corpus ids).  New-vs-new pairs inside the batch are
     not emitted — run :func:`minhash_dedup_pairs` on the batch for
     those.  Cost per probe: one map pass over the new batch + reads of
-    the touched index partitions; corpus text is read only by
-    ``verify="text"``, and then only for the candidate sliver."""
+    the touched index partitions."""
     import json
 
     from .exchange import routing_hash
 
     with open(os.path.join(index_dir, "meta.json")) as fh:
         meta = json.load(fh)
-    if verify == "auto":
-        verify = "stored" if meta.get("shingle_parts") else "text"
-    if verify == "stored" and not meta.get("shingle_parts"):
-        raise ValueError("index was written without store_shingles=True")
+    # a corpus with no full shingle window stores {}: present, and it
+    # probes to zero pairs; a missing key is not a complete index
+    if "shingle_parts" not in meta:
+        raise ValueError(f"{index_dir}/meta.json has no shingle_parts")
     num_perm, bands, k = meta["num_perm"], meta["bands"], meta["k"]
     P = meta["num_parts"]
     part_files = {int(p): fs for p, fs in meta["parts"].items()}
-    min_agree = int(np.ceil(num_perm * (threshold / 2.0)))
+    min_agree = _sketch_min_agree(num_perm, threshold)
     sig_root = os.path.join(index_dir, "sig")
     pair_empty = pa.table(
         {"a": pa.array([], type=pa.int64()), "b": pa.array([], type=pa.int64())}
@@ -1422,86 +1384,22 @@ def minhash_index_probe(new_ds, corpus_ds, index_dir: str, *,
             i = j
         if not keep_a:
             return pair_empty
-        av = np.concatenate(keep_a)
-        bv = np.concatenate(keep_b)
-        if verify == "text":
-            # canonical (min, max) orientation: the verification
-            # partials emit co-shingle pairs as (smaller id, larger id),
-            # and the marker join matches on exact (a, b) — re-oriented
-            # back to (new, corpus) after verification
-            av, bv = np.minimum(av, bv), np.maximum(av, bv)
-        pairs = pa.table({"a": pa.array(av), "b": pa.array(bv)})
+        pairs = pa.table(
+            {"a": pa.array(np.concatenate(keep_a)), "b": pa.array(np.concatenate(keep_b))}
+        )
         # collapse cross-band duplicates within the partition (the
         # downstream verify collapses the rest)
-        return pairs.group_by(["a", "b"], use_threads=False).aggregate([])
+        return _min_per_pair(pairs)
 
     st: dict = {}
     cand = spill_exchange(
         new_ds.map_batches(explode, batch_format="pyarrow"),
         ["band", "bhash"], probe_reduce, num_parts=P, stats=st,
     )
-    if verify == "stored":
-        return _stored_verify(
-            new_ds, cand, index_dir, meta, threshold,
-            text_col=text_col, id_col=id_col, cleanup_after=[st["root"]],
-        )
-    both = new_ds.map_batches(
-        lambda b: b.select([id_col, text_col]), batch_format="pyarrow"
-    ).union(
-        corpus_ds.map_batches(
-            lambda b: b.select([id_col, text_col]), batch_format="pyarrow"
-        )
+    return _stored_verify(
+        new_ds, cand, index_dir, meta, threshold,
+        text_col=text_col, id_col=id_col, cleanup_after=[st["root"]],
     )
-    verified = exact_jaccard_for_pair_ds(
-        both, cand, n=k, text_col=text_col, id_col=id_col,
-        num_parts=num_parts, cleanup_after=[st["root"]],
-    )
-    # re-orient verified (min, max) pairs back to (a=new, b=corpus).
-    # The probe batch's id set is sync-batch-sized by contract (the
-    # reference caps sync iterations at 5000 rows,
-    # /root/reference/app/jobs/chainquery/chainquery.go:27), so one
-    # sorted int64 array broadcast via ray.put is bounded — the CORPUS
-    # id set is never collected.
-    import ray
-
-    new_ids = np.sort(
-        np.concatenate(
-            [
-                b["ids"].to_numpy(zero_copy_only=False)
-                for b in new_ds.map_batches(
-                    lambda t: pa.table({"ids": t[id_col].cast(pa.int64())}),
-                    batch_format="pyarrow",
-                ).iter_batches(batch_format="pyarrow")
-            ]
-            or [np.zeros(0, dtype=np.int64)]
-        )
-    )
-    nref = ray.put(new_ids)
-
-    def orient(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.greater_equal(b["jaccard"], threshold))
-        if b.num_rows == 0:
-            return b
-        import ray as _r
-
-        ids = _r.get(nref)
-        av = b["a"].to_numpy(zero_copy_only=False)
-        bv = b["b"].to_numpy(zero_copy_only=False)
-        if ids.size == 0:
-            a_is_new = np.zeros(len(av), dtype=bool)
-        else:
-            pos = np.searchsorted(ids, av)
-            a_is_new = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == av)
-        return pa.table(
-            {
-                "a": pa.array(np.where(a_is_new, av, bv)),
-                "b": pa.array(np.where(a_is_new, bv, av)),
-                "inter": b["inter"],
-                "jaccard": b["jaccard"],
-            }
-        )
-
-    return verified.map_batches(orient, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1547,82 +1445,23 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
     definition and is SQL-oracle-checkable."""
     seg_bits = 64 // bands
     mask = np.uint64((1 << seg_bits) - 1)
+    shifts = np.arange(bands, dtype=np.uint64) * np.uint64(seg_bits)
 
     def explode(batch: pa.Table) -> pa.Table:
         sig = simhash_signatures(batch, text_col, id_col)
         s = sig["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        m = len(s)
-        segs = np.empty((m, bands), dtype=np.uint64)
-        for bnd in range(bands):
-            segs[:, bnd] = (s >> np.uint64(bnd * seg_bits)) & mask
-        ids = sig[id_col].combine_chunks() if isinstance(sig[id_col], pa.ChunkedArray) else sig[id_col]
-        return pa.table(
-            {
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), m)),
-                "key": pa.array(segs.reshape(-1)),
-                "id": pc.take(ids, pa.array(np.repeat(np.arange(m), bands))),
-                "simhash": pa.array(np.repeat(s, bands)),
-            }
+        return _band_rows(
+            (s[:, None] >> shifts[None, :]) & mask,
+            sig[id_col].combine_chunks(), simhash=sig["simhash"].combine_chunks(),
         )
 
-    def bucket_reduce(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "hamming": pa.array([], type=pa.int64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        key = pa.table(
-            {
-                "k": pa.array(
-                    combine_hashes(
-                        t["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                        t["key"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                    )
-                ),
-                "id": t["id"],
-                "simhash": t["simhash"],
-            }
-        ).sort_by([("k", "ascending"), ("id", "ascending")])
-        starts, lens = run_bounds(key["k"].combine_chunks())
-        a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
-        if len(a_idx) == 0:
-            return empty
-        sims = key["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    def hamming(t: pa.Table, a_idx: np.ndarray, b_idx: np.ndarray):
+        sims = t["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         ham = _popcount64(sims[a_idx] ^ sims[b_idx])
-        keep = ham <= max_hamming
-        if not keep.any():
-            return empty
-        ids = key["id"].combine_chunks()
-        p = pa.table(
-            {
-                "a": pc.take(ids, pa.array(a_idx[keep])),
-                "b": pc.take(ids, pa.array(b_idx[keep])),
-                "hamming": pa.array(ham[keep]),
-            }
-        )
-        g = p.group_by(["a", "b"], use_threads=False).aggregate([("hamming", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "hamming": g["hamming_min"]})
+        return ham, ham <= max_hamming
 
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        g = t.group_by(["a", "b"], use_threads=False).aggregate([("hamming", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "hamming": g["hamming_min"]})
-
-    st: dict = {}
-    cands = spill_exchange(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["band", "key"],
-        bucket_reduce,
-        num_parts=num_parts,
-        stats=st,
-    )
-    return spill_exchange(cands, ["a", "b"], pair_dedup, num_parts=num_parts,
-                          cleanup_after=[st["root"]])
+    return _banded_pairs(ds.map_batches(explode, batch_format="pyarrow"), num_parts,
+                         hamming, pa.field("hamming", pa.int64()))
 
 
 # ---------------------------------------------------------------------------
@@ -1638,8 +1477,8 @@ def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     is 2 blocks, and the O(N²) compute is spread across B(B+1)/2
     independent tasks.  This is the exact path (a low threshold cannot
     be served exactly by LSH/IVF pruning without recall loss); for
-    high-threshold near-dup at scale, prune candidates first with
-    :func:`minhash_lsh_candidates`-style bucketing on quantized vectors.
+    high-threshold near-dup at scale, :func:`embedding_lsh_pairs` prunes
+    candidates with SRP band buckets first.
     """
     import os
     import uuid
@@ -1739,9 +1578,41 @@ def embedding_cosine_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     )
 
 
-def _srp_planes(dim: int, num_planes: int, seed: int = 1234) -> np.ndarray:
-    rng = np.random.RandomState(seed)
-    return rng.standard_normal((num_planes, dim))
+def _srp_band_keys(m: np.ndarray, num_planes: int, bands: int,
+                   seed: int = 1234) -> np.ndarray:
+    """(n, bands) uint64 signed-random-projection band keys of the
+    row-normalized matrix ``m``: bit j of band b is the sign of the
+    projection on seeded plane b*r + j, with r = num_planes // bands."""
+    r = num_planes // bands
+    planes = np.random.RandomState(seed).standard_normal((num_planes, m.shape[1]))
+    bits = ((m @ planes.T) > 0)[:, : bands * r].reshape(len(m), bands, r)
+    return np.bitwise_or.reduce(
+        bits.astype(np.uint64) << np.arange(r, dtype=np.uint64), axis=2
+    )
+
+
+def _srp_band_rows(batch: pa.Table, id_col: str, vec_col: str, num_planes: int,
+                   bands: int, seed: int = 1234) -> pa.Table:
+    """(band, bhash, id, vec) rows: SRP band keys of the normalized
+    vectors, which ride the exchange for exact in-bucket cosine."""
+    if batch.num_rows == 0:
+        return pa.table({
+            "band": pa.array([], type=pa.int32()),
+            "bhash": pa.array([], type=pa.uint64()),
+            "id": pa.array([], type=pa.int64()),
+            "vec": pa.array([], type=pa.list_(pa.float64())),
+        })
+    emb = batch[vec_col].combine_chunks()
+    m = np.asarray(emb.flatten(), dtype=np.float64).reshape(batch.num_rows, -1)
+    m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+    n, dim = m.shape
+    return _band_rows(
+        _srp_band_keys(m, num_planes, bands, seed),
+        pa.array(batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)),
+        vec=pa.ListArray.from_arrays(
+            pa.array(np.arange(n + 1, dtype=np.int32) * dim), pa.array(m.reshape(-1))
+        ),
+    )
 
 
 def embedding_lsh_pairs(ds, threshold: float = 0.9, id_col: str = "vec_id",
@@ -1760,96 +1631,17 @@ def embedding_lsh_pairs(ds, threshold: float = 0.9, id_col: str = "vec_id",
     :func:`embedding_cosine_pairs` stays the exact path for low
     thresholds, where no sublinear method can keep recall 1.
     """
-    r = num_planes // bands
-
-    def explode(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "band": pa.array([], type=pa.int32()),
-                    "key": pa.array([], type=pa.uint64()),
-                    "id": pa.array([], type=pa.int64()),
-                    "vec": pa.array([], type=pa.list_(pa.float64())),
-                }
-            )
-        emb = batch[vec_col].combine_chunks()
-        flat = np.asarray(emb.flatten(), dtype=np.float64)
-        m = flat.reshape(batch.num_rows, -1)
-        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        planes = _srp_planes(m.shape[1], num_planes)
-        bits = (m @ planes.T) > 0  # (n, num_planes)
-        n = len(m)
-        keys = np.zeros((n, bands), dtype=np.uint64)
-        for bnd in range(bands):
-            for j in range(r):
-                keys[:, bnd] |= bits[:, bnd * r + j].astype(np.uint64) << np.uint64(j)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        rep = np.repeat(np.arange(n), bands)
-        return pa.table(
-            {
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-                "key": pa.array(keys.reshape(-1)),
-                "id": pa.array(ids[rep]),
-                "vec": pa.ListArray.from_arrays(
-                    pa.array(np.arange(n * bands + 1, dtype=np.int32) * m.shape[1]),
-                    pa.array(m[rep].reshape(-1)),
-                ),
-            }
-        )
-
-    def bucket_reduce(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "cos": pa.array([], type=pa.float64()),
-            }
-        )
-        if t.num_rows == 0:
-            return empty
-        k = combine_hashes(
-            t["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
-            t["key"].to_numpy(zero_copy_only=False).astype(np.uint64),
-        )
-        order = np.lexsort((t["id"].to_numpy(zero_copy_only=False), k))
-        t = t.take(pa.array(order)).combine_chunks()
-        starts, lens = run_bounds(k[order])
-        a_idx, b_idx = _pair_indices(starts[lens >= 2], lens[lens >= 2])
-        if len(a_idx) == 0:
-            return empty
-        vecs = t["vec"].combine_chunks()
-        mat = np.asarray(vecs.flatten()).reshape(t.num_rows, -1)
-        cos = np.einsum("ij,ij->i", mat[a_idx], mat[b_idx])
+    def cosine(t: pa.Table, a_idx: np.ndarray, b_idx: np.ndarray):
+        mat = np.asarray(t["vec"].combine_chunks().flatten()).reshape(t.num_rows, -1)
         ids = t["id"].to_numpy(zero_copy_only=False)
-        keep = (cos >= threshold) & (ids[a_idx] != ids[b_idx])
-        if not keep.any():
-            return empty
-        p = pa.table(
-            {
-                "a": pa.array(ids[a_idx[keep]]),
-                "b": pa.array(ids[b_idx[keep]]),
-                "cos": pa.array(np.round(cos[keep], 6)),
-            }
-        )
-        g = p.group_by(["a", "b"], use_threads=False).aggregate([("cos", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "cos": g["cos_min"]})
+        cos = np.einsum("ij,ij->i", mat[a_idx], mat[b_idx])
+        return np.round(cos, 6), (cos >= threshold) & (ids[a_idx] != ids[b_idx])
 
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        g = t.group_by(["a", "b"], use_threads=False).aggregate([("cos", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "cos": g["cos_min"]})
-
-    st: dict = {}
-    cands = spill_exchange(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["band", "key"],
-        bucket_reduce,
-        num_parts=num_parts,
-        stats=st,
+    rows = ds.map_batches(
+        lambda b: _srp_band_rows(b, id_col, vec_col, num_planes, bands),
+        batch_format="pyarrow",
     )
-    return spill_exchange(cands, ["a", "b"], pair_dedup, num_parts=num_parts,
-                          cleanup_after=[st["root"]])
+    return _banded_pairs(rows, num_parts, cosine, pa.field("cos", pa.float64()))
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,7 @@ def brute_force_topk(ds, query_vecs: np.ndarray, k: int = 10,
 
 
 def knn_graph(ds, k: int = 3, id_col: str = "vec_id", vec_col: str = "embedding",
-              block_rows: int = 4096, num_parts: int = 16, mode: str = "exact",
-              **srp_kwargs):
+              block_rows: int = 4096, num_parts: int = 16):
     """k-NN graph over the embedding column: for EVERY vector, its top-k
     cosine neighbors (self excluded) — the building block for
     embedding-cluster dedup and semantic dedup sampling.
@@ -83,14 +82,9 @@ def knn_graph(ds, k: int = 3, id_col: str = "vec_id", vec_col: str = "embedding"
     SQL-mirrorable.  Memory per task is 2 blocks; shuffled volume is
     N x num_blocks x k rows, not N^2.
 
-    COMPUTE is quadratic in blocks (exact all-pairs); ``mode="srp"``
-    dispatches to :func:`knn_graph_srp` — the sub-quadratic scale path
-    (SCALE.md's named fix) for thresholded neighbor graphs."""
-    if mode == "srp":
-        return knn_graph_srp(ds, k=k, id_col=id_col, vec_col=vec_col,
-                             num_parts=num_parts, **srp_kwargs)
-    if mode != "exact":
-        raise ValueError(f"unknown knn_graph mode {mode!r}")
+    COMPUTE is quadratic in blocks (exact all-pairs);
+    :func:`knn_graph_srp` is the sub-quadratic scale path (SCALE.md's
+    named fix) for thresholded neighbor graphs."""
     import os
     import uuid
 
@@ -228,58 +222,22 @@ def knn_graph_srp(ds, k: int = 3, tau: float = 0.4, id_col: str = "vec_id",
     (≤ k rows per vector per band) flow through a second exchange that
     dedups (a, b) and head-ks per vector.  No driver pass, no N² rows.
     """
-    import ray.data as rd
-
     from ..util import run_bounds
-    from .dedup import _srp_planes
-    from .exchange import combine_hashes, spill_exchange
+    from .dedup import _bucket_runs, _srp_band_rows
+    from .exchange import spill_exchange
 
-    r = num_planes // bands
     out_schema = pa.schema([("vec_id", pa.int64()), ("nn_id", pa.int64()),
                             ("cos", pa.float64())])
     empty = pa.table({"a": pa.array([], type=pa.int64()),
                       "b": pa.array([], type=pa.int64()),
                       "cos": pa.array([], type=pa.float64())})
 
-    def explode(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"band": pa.array([], type=pa.int32()),
-                             "key": pa.array([], type=pa.uint64()),
-                             "id": pa.array([], type=pa.int64()),
-                             "vec": pa.array([], type=pa.list_(pa.float64()))})
-        m = _to_matrix(batch, vec_col)
-        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        planes = _srp_planes(m.shape[1], num_planes, seed=seed)
-        bits = (m @ planes.T) > 0
-        n = len(m)
-        keys = np.zeros((n, bands), dtype=np.uint64)
-        for bnd in range(bands):
-            for j in range(r):
-                keys[:, bnd] |= bits[:, bnd * r + j].astype(np.uint64) << np.uint64(j)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        rep = np.repeat(np.arange(n), bands)
-        return pa.table({
-            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-            "key": pa.array(keys.reshape(-1)),
-            "id": pa.array(ids[rep]),
-            "vec": pa.ListArray.from_arrays(
-                pa.array(np.arange(n * bands + 1, dtype=np.int32) * m.shape[1]),
-                pa.array(m[rep].reshape(-1)),
-            ),
-        })
-
     def bucket_topk(t: pa.Table) -> pa.Table:
-        """Per (band, key) run: in-bucket cosine matmul, keep round6 >= tau,
+        """Per (band, bhash) run: in-bucket cosine matmul, keep round6 >= tau,
         emit each vector's PARTIAL top-k within the bucket."""
         if t.num_rows == 0:
             return empty
-        kh = combine_hashes(
-            t["band"].to_numpy(zero_copy_only=False).astype(np.uint64),
-            t["key"].to_numpy(zero_copy_only=False).astype(np.uint64),
-        )
-        order = np.lexsort((t["id"].to_numpy(zero_copy_only=False), kh))
-        t = t.take(pa.array(order)).combine_chunks()
-        starts, lens = run_bounds(kh[order])
+        t, starts, lens = _bucket_runs(t)
         ids = t["id"].to_numpy(zero_copy_only=False)
         mat = np.asarray(t["vec"].combine_chunks().flatten()).reshape(t.num_rows, -1)
         outs = []
@@ -327,8 +285,11 @@ def knn_graph_srp(ds, k: int = 3, tau: float = 0.4, id_col: str = "vec_id",
 
     st: dict = {}
     partial = spill_exchange(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        ["band", "key"], bucket_topk, num_parts=num_parts, stats=st,
+        ds.map_batches(
+            lambda b: _srp_band_rows(b, id_col, vec_col, num_planes, bands, seed),
+            batch_format="pyarrow",
+        ),
+        ["band", "bhash"], bucket_topk, num_parts=num_parts, stats=st,
     )
     return spill_exchange(partial, "a", topk_reduce, num_parts=num_parts,
                           cleanup_after=[st["root"]],
@@ -343,21 +304,14 @@ def srp_candidate_volume(ds, vec_col: str = "embedding",
     :func:`knn_graph_srp` evaluates.  Computed as a tiny distributed
     aggregate (per-batch bucket counts → one |buckets|-sized groupby);
     compare with the exact path's N·(N-1)/2 to measure the prune."""
-    from .dedup import _srp_planes
+    from .dedup import _srp_band_keys
 
-    r = num_planes // bands
+    band_tag = np.arange(bands, dtype=np.uint64) << np.uint64(56)
 
     def counts(batch: pa.Table) -> pa.Table:
         m = _to_matrix(batch, vec_col)
         m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        planes = _srp_planes(m.shape[1], num_planes, seed=seed)
-        bits = (m @ planes.T) > 0
-        n = len(m)
-        keys = np.zeros((n, bands), dtype=np.uint64)
-        for bnd in range(bands):
-            for j in range(r):
-                keys[:, bnd] |= bits[:, bnd * r + j].astype(np.uint64) << np.uint64(j)
-            keys[:, bnd] |= np.uint64(bnd) << np.uint64(56)
+        keys = _srp_band_keys(m, num_planes, bands, seed) | band_tag
         u, c = np.unique(keys.reshape(-1), return_counts=True)
         return pa.table({"key": pa.array(u), "n": pa.array(c.astype(np.int64))})
 

@@ -2490,11 +2490,11 @@ def q_knn_graph_srp(sf_dir: str):
     (verified sf0.01 + sf0.1), so the exact SQL definition is the
     oracle.  Sub-quadratic candidate growth on clustered data is
     asserted by tests/test_scale_envelopes.py."""
-    from ..functions.similarity import knn_graph
+    from ..functions.similarity import knn_graph_srp
 
-    return knn_graph(
+    return knn_graph_srp(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
-        k=3, mode="srp", tau=KNN_SRP_TAU, num_planes=48, bands=24,
+        k=3, tau=KNN_SRP_TAU, num_planes=48, bands=24, num_parts=16,
     )
 
 
@@ -2887,7 +2887,7 @@ def q_incremental_neardup(sf_dir: str):
         if not os.path.exists(os.path.join(idx, "meta.json")):
             minhash_index_write(old, idx)
         _SIG_INDEX_CACHE[sf_dir] = idx
-    return minhash_index_probe(new, old, idx, threshold=MINHASH_THRESHOLD)
+    return minhash_index_probe(new, idx, threshold=MINHASH_THRESHOLD)
 
 
 SQL_INCREMENTAL_NEARDUP = f"""

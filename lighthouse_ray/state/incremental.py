@@ -363,32 +363,6 @@ class IncrementalIndex:
     COMPACT_MAX_DELTAS = 16
     COMPACT_MAX_DELTA_FRAC = 0.10
 
-    def should_compact(
-        self,
-        max_deltas: int | None = None,
-        max_delta_frac: float | None = None,
-    ) -> tuple[bool, str]:
-        """Evaluate the recorded compaction policy; returns
-        ``(fire, reason)``."""
-        max_deltas = self.COMPACT_MAX_DELTAS if max_deltas is None else max_deltas
-        max_delta_frac = (
-            self.COMPACT_MAX_DELTA_FRAC if max_delta_frac is None else max_delta_frac
-        )
-        masks = self.live_map()
-        n_deltas = len(masks) - 1
-        if n_deltas >= max_deltas:
-            return True, f"delta count {n_deltas} >= cap {max_deltas}"
-        base_live = int(masks[0].sum()) if masks else 0
-        delta_live = sum(int(m.sum()) for m in masks[1:])
-        if base_live and delta_live > max_delta_frac * base_live:
-            return True, (
-                f"delta live docs {delta_live} > {max_delta_frac:.0%} of base "
-                f"{base_live} (stats drift)"
-            )
-        return False, (
-            f"{n_deltas} deltas / {delta_live} delta-live docs within policy"
-        )
-
     def compact_policy(
         self,
         max_deltas: int | None = None,
@@ -415,21 +389,6 @@ class IncrementalIndex:
         if n_deltas >= max_deltas:
             return "minor", f"delta count {n_deltas} >= cap {max_deltas}"
         return None, f"{n_deltas} deltas / {delta_live} delta-live docs within policy"
-
-    def maybe_compact(
-        self,
-        new_root: str,
-        cfg: IndexConfig | None = None,
-        max_deltas: int | None = None,
-        max_delta_frac: float | None = None,
-    ) -> "tuple[IncrementalIndex | None, str]":
-        """Compact iff the policy fires; returns ``(new_index_or_None,
-        reason)``.  The sync loop calls this after every delta apply —
-        the policy, not the caller, decides."""
-        fire, reason = self.should_compact(max_deltas, max_delta_frac)
-        if not fire:
-            return None, reason
-        return self.compact(new_root, cfg), reason
 
     def _live_meta(self, segments: slice = slice(None)) -> pd.DataFrame:
         """Live doc metadata + payload pointers for the given segment

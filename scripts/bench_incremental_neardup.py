@@ -81,9 +81,7 @@ def main() -> dict:
         "text": pa.array([t + " incoming revision token" for t in head["text"]]),
     })
     t0 = time.time()
-    pairs = minhash_index_probe(
-        rd.from_arrow(probe), docs, IDX, threshold=0.5
-    ).to_pandas()
+    pairs = minhash_index_probe(rd.from_arrow(probe), IDX, threshold=0.5).to_pandas()
     results["probe_sec"] = round(time.time() - t0, 2)
     results["probe_docs"] = PROBE_DOCS
     results["verified_pairs"] = int(len(pairs))

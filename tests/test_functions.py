@@ -109,7 +109,8 @@ def test_incremental_neardup_probe(ray_session, tmp_path):
     pairs must equal the brute-force exact cross-side jaccards, the
     probe must touch only manifest-listed partitions, and a second
     probe against the same index must work (the incremental contract)."""
-    import itertools
+    import json
+    import os
 
     import ray.data as rd
 
@@ -134,9 +135,7 @@ def test_incremental_neardup_probe(ray_session, tmp_path):
     meta = minhash_index_write(rd.from_arrow(corpus).repartition(3), idx, num_parts=8)
     assert sum(len(v) for v in meta["parts"].values()) > 0
 
-    out = minhash_index_probe(
-        rd.from_arrow(new), rd.from_arrow(corpus), idx, threshold=0.5
-    ).to_pandas()
+    out = minhash_index_probe(rd.from_arrow(new), idx, threshold=0.5).to_pandas()
 
     def shset(s):
         toks = tokenize_text(s)
@@ -148,32 +147,29 @@ def test_incremental_neardup_probe(ray_session, tmp_path):
             a, b = shset(nrow), shset(crow)
             jac = len(a & b) / len(a | b)
             if jac >= 0.5:
-                want[(ni, ci)] = round(jac, 6)
-    got = {(int(r.a), int(r.b)): r.jaccard for r in out.itertuples()}
+                want[(ni, ci)] = (len(a & b), round(jac, 6))
+    got = {(int(r.a), int(r.b)): (int(r.inter), r.jaccard) for r in out.itertuples()}
     assert set(got) == set(want)
     assert len(want) >= 12  # every corpus template doc pairs with new doc 100
-    for p, jac in want.items():
-        assert got[p] == pytest.approx(jac, abs=1e-6)
+    for p, (inter, jac) in want.items():
+        assert got[p][0] == inter
+        assert got[p][1] == pytest.approx(jac, abs=1e-6)
 
     # second probe against the SAME persisted index (no rebuild)
-    out2 = minhash_index_probe(
-        rd.from_arrow(new), rd.from_arrow(corpus), idx, threshold=0.5
-    ).to_pandas()
+    out2 = minhash_index_probe(rd.from_arrow(new), idx, threshold=0.5).to_pandas()
     assert len(out2) == len(out)
 
-    # stored-set verification (default) == text re-shingle verification
-    out_txt = (
-        minhash_index_probe(
-            rd.from_arrow(new), rd.from_arrow(corpus), idx, threshold=0.5,
-            verify="text",
-        )
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    out_sorted = out.sort_values(["a", "b"]).reset_index(drop=True)
-    assert out_sorted[["a", "b", "inter"]].equals(out_txt[["a", "b", "inter"]])
-    np.testing.assert_allclose(out_sorted["jaccard"], out_txt["jaccard"])
+    # an empty corpus stores no shingle partition ({}): it probes to
+    # zero pairs, while a meta.json without the key is refused
+    empty_idx = str(tmp_path / "emptyidx")
+    meta0 = minhash_index_write(rd.from_arrow(corpus.slice(0, 0)), empty_idx, num_parts=4)
+    assert meta0["shingle_parts"] == {}
+    assert len(minhash_index_probe(rd.from_arrow(new), empty_idx).to_pandas()) == 0
+    del meta0["shingle_parts"]
+    with open(os.path.join(empty_idx, "meta.json"), "w") as fh:
+        json.dump(meta0, fh)
+    with pytest.raises(ValueError, match="shingle_parts"):
+        minhash_index_probe(rd.from_arrow(new), empty_idx)
 
 
 def test_simhash_near_dup(ray_session):
@@ -211,6 +207,60 @@ def test_ngram_jaccard_exact(ray_session):
     row = out[(out["a"] == 0) & (out["b"] == 1)]
     assert len(row) == 1
     assert row["jaccard"].iloc[0] == pytest.approx(want, abs=1e-6)
+
+
+def test_containment_pairs_bruteforce(ray_session):
+    """containment_pairs equals brute force: inter/min(|A|, |B|) over
+    distinct 3-shingles, shingles with df > max_df dropped before
+    pairing, sizes counted over every shingle.  Doc 0 sits verbatim
+    inside the much longer doc 1 (containment 1, Jaccard well under
+    the threshold); docs 2-4 share only a hot shingle."""
+    import itertools
+
+    import ray.data as rd
+
+    from lighthouse_ray.analysis import tokenize_text
+    from lighthouse_ray.functions.dedup import containment_pairs
+
+    inner = "alpha beta gamma delta epsilon zeta"
+    rows = [
+        inner,
+        " ".join(f"pre{i}" for i in range(20)) + f" {inner} " + " ".join(f"post{i}" for i in range(20)),
+        "common shared phrase only2",
+        "common shared phrase only3",
+        "common shared phrase only4",
+        "pre3 pre4 pre5 and something else entirely different here",
+    ]
+    tau, max_df = 0.5, 2
+    out = containment_pairs(
+        rd.from_arrow(_docs_table(rows)).repartition(3), n=3, threshold=tau,
+        max_df=max_df, num_parts=4,
+    ).to_pandas()
+
+    def shset(s):
+        toks = tokenize_text(s)
+        return {" ".join(toks[i : i + 3]) for i in range(len(toks) - 2)}
+
+    sets = [shset(r) for r in rows]
+    df: dict = {}
+    for s in sets:
+        for sh in s:
+            df[sh] = df.get(sh, 0) + 1
+    hot = {sh for sh, c in df.items() if c > max_df}
+    assert "common shared phrase" in hot
+    want = {}
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        inter = len((sets[i] & sets[j]) - hot)
+        cont = np.floor(inter / min(len(sets[i]), len(sets[j])) * 1e6 + 0.5) / 1e6
+        if inter >= 1 and cont >= tau:
+            want[(i, j)] = (inter, cont)
+    got = {(int(r.a), int(r.b)): (int(r.inter), r.containment) for r in out.itertuples()}
+    assert set(got) == set(want) == {(0, 1)}
+    for p, (inter, cont) in want.items():
+        assert got[p][0] == inter
+        assert got[p][1] == pytest.approx(cont, abs=1e-6)
+    # the sub-document pair is a containment hit, not a Jaccard one
+    assert len(sets[0] & sets[1]) / len(sets[0] | sets[1]) < tau
 
 
 def test_winnow_guarantee_and_density(ray_session):

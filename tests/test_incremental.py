@@ -263,16 +263,17 @@ def test_search_after_pages_over_delta_chain(ray_session, tmp_path_factory):
 
 
 def test_compaction_policy_triggers(ray_session, tmp_path_factory):
-    """maybe_compact fires on the recorded policy: delta-count cap OR
-    delta-live fraction of base, whichever first."""
+    """compact_policy (the sync daemon's policy) asks for a MAJOR
+    compaction on stats drift (delta-live fraction of base) and a MINOR
+    fold on a delta-count cap alone; a compacted index is within policy."""
     import ray.data as rd
 
     root = str(tmp_path_factory.mktemp("pol") / "root")
     ii = IncrementalIndex(root, CFG)
     ii.build_base(rd.from_arrow(gen_corpus(100)), CFG)
 
-    fire, why = ii.should_compact()
-    assert not fire and "within policy" in why
+    kind, why = ii.compact_policy()
+    assert kind is None and "within policy" in why
 
     def _delta(i, n_rows):
         rows = {
@@ -286,26 +287,24 @@ def test_compaction_policy_triggers(ray_session, tmp_path_factory):
 
     # fraction trigger: one delta with >10% of base live docs
     ii.apply_delta(rd.from_arrow(_delta(0, 15)))
-    fire, why = ii.should_compact()
-    assert fire and "stats drift" in why
+    kind, why = ii.compact_policy()
+    assert kind == "major" and "stats drift" in why
     # but not with a permissive fraction
-    fire2, _ = ii.should_compact(max_delta_frac=0.5)
-    assert not fire2
+    kind2, _ = ii.compact_policy(max_delta_frac=0.5)
+    assert kind2 is None
 
-    # count trigger with a low cap
+    # count trigger with a low cap: the chain alone needs only a minor fold
     ii.apply_delta(rd.from_arrow(_delta(1, 2)))
-    fire3, why3 = ii.should_compact(max_deltas=2, max_delta_frac=0.99)
-    assert fire3 and "delta count" in why3
+    kind3, why3 = ii.compact_policy(max_deltas=2, max_delta_frac=0.99)
+    assert kind3 == "minor" and "delta count" in why3
 
-    # maybe_compact executes and the result passes the policy again
-    # (some synthetic rows get delete-routed by bid_state, so count the
-    # actual delta-live docs rather than the rows submitted)
+    # the compacted index passes the policy again (some synthetic rows
+    # get delete-routed by bid_state, so count the actual delta-live
+    # docs rather than the rows submitted)
     delta_live = sum(int(m.sum()) for m in ii.live_map()[1:])
-    new_root = str(tmp_path_factory.mktemp("pol") / "compacted")
-    out, reason = ii.maybe_compact(new_root, CFG)
-    assert out is not None and "stats drift" in reason
-    fire4, _ = out.should_compact()
-    assert not fire4
+    out = ii.compact(str(tmp_path_factory.mktemp("pol") / "compacted"), CFG)
+    kind4, _ = out.compact_policy()
+    assert kind4 is None
     # compacted index serves exactly the delta-live docs
     hits = out.search_topk("content", ["fresh"], k=30)
     assert len(hits) == delta_live > 0

@@ -44,11 +44,10 @@ def _exact_thresholded_topk(vecs, k, tau):
 def test_knn_srp_parity_with_exact(ray_session):
     """Full output parity (not just recall) on clustered vectors at the
     gate's parameters: every (vec, nn, cos) row identical."""
-    from lighthouse_ray.functions.similarity import knn_graph
+    from lighthouse_ray.functions.similarity import knn_graph_srp
 
     vecs = _clustered(300)
-    got = knn_graph(_ds_of(vecs), k=3, mode="srp", tau=0.5,
-                    num_planes=48, bands=24).to_pandas()
+    got = knn_graph_srp(_ds_of(vecs), k=3, tau=0.5, num_planes=48, bands=24).to_pandas()
     got_rows = sorted(zip(got["vec_id"], got["nn_id"], got["cos"]))
     want = _exact_thresholded_topk(vecs, k=3, tau=0.5)
     assert [(a, b) for a, b, _ in got_rows] == [(a, b) for a, b, _ in want]
@@ -59,13 +58,12 @@ def test_knn_srp_equals_filtered_exact_path(ray_session):
     """Cross-path check: filtering the EXACT knn_graph's top-k by the
     threshold equals the SRP thresholded graph (thresholded-top-k ==
     filter(top-k) for the same k)."""
-    from lighthouse_ray.functions.similarity import knn_graph
+    from lighthouse_ray.functions.similarity import knn_graph, knn_graph_srp
 
     vecs = _clustered(200, cluster=8)
     exact = knn_graph(_ds_of(vecs), k=3).to_pandas()
     exact = exact[exact["cos"] >= 0.5]
-    srp = knn_graph(_ds_of(vecs), k=3, mode="srp", tau=0.5,
-                    num_planes=48, bands=24).to_pandas()
+    srp = knn_graph_srp(_ds_of(vecs), k=3, tau=0.5, num_planes=48, bands=24).to_pandas()
     assert sorted(zip(exact["vec_id"], exact["nn_id"])) == \
         sorted(zip(srp["vec_id"], srp["nn_id"]))
 
@@ -73,32 +71,46 @@ def test_knn_srp_equals_filtered_exact_path(ray_session):
 def test_knn_srp_isolated_vectors_emit_nothing(ray_session):
     """Vectors with no >=tau neighbor produce no rows (the thresholded
     contract) — orthogonal basis vectors at tau 0.5."""
-    from lighthouse_ray.functions.similarity import knn_graph
+    from lighthouse_ray.functions.similarity import knn_graph_srp
 
     vecs = np.eye(8)
-    out = knn_graph(_ds_of(vecs), k=3, mode="srp", tau=0.5,
-                    num_planes=48, bands=24).to_pandas()
+    out = knn_graph_srp(_ds_of(vecs), k=3, tau=0.5, num_planes=48, bands=24).to_pandas()
     assert len(out) == 0
 
 
 def test_knn_srp_k_cap_and_tie_break(ray_session):
     """More than k qualifying neighbors: exactly k kept, ranked by
     (cos desc, id asc)."""
-    from lighthouse_ray.functions.similarity import knn_graph
+    from lighthouse_ray.functions.similarity import knn_graph_srp
 
     rng = np.random.RandomState(11)
     center = rng.standard_normal(16)
     vecs = center[None, :] + 0.05 * rng.standard_normal((7, 16))
-    out = knn_graph(_ds_of(vecs), k=2, mode="srp", tau=0.5,
-                    num_planes=48, bands=24).to_pandas()
+    out = knn_graph_srp(_ds_of(vecs), k=2, tau=0.5, num_planes=48, bands=24).to_pandas()
     assert (out.groupby("vec_id").size() == 2).all()
     want = _exact_thresholded_topk(vecs, k=2, tau=0.5)
     got = sorted(zip(out["vec_id"], out["nn_id"]))
     assert got == [(a, b) for a, b, _ in want]
 
 
-def test_knn_graph_unknown_mode():
-    from lighthouse_ray.functions.similarity import knn_graph
 
-    with pytest.raises(ValueError, match="unknown knn_graph mode"):
-        knn_graph(None, mode="bogus")
+@pytest.mark.parametrize("num_planes,bands", [(48, 24), (16, 4), (50, 24)])
+def test_srp_band_keys_match_plane_loop(num_planes, bands):
+    """The shared SRP band keys equal the per-plane loop bit for bit:
+    seeded planes, bit j of band b = sign of plane b*r + j, and planes
+    beyond bands*r unused."""
+    from lighthouse_ray.functions.dedup import _srp_band_keys
+
+    m = _clustered(60, dim=12)
+    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    r = num_planes // bands
+    for seed in (1234, 7):
+        planes = np.random.RandomState(seed).standard_normal((num_planes, m.shape[1]))
+        bits = (m @ planes.T) > 0
+        want = np.zeros((len(m), bands), dtype=np.uint64)
+        for bnd in range(bands):
+            for j in range(r):
+                want[:, bnd] |= bits[:, bnd * r + j].astype(np.uint64) << np.uint64(j)
+        got = _srp_band_keys(m, num_planes, bands, seed)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
