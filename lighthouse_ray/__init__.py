@@ -21,7 +21,7 @@ built Ray-Data-first:
   invokes (app/actions/search/query.go).
 - ``functions`` — large-scale training-data ops: dedup (exact, MinHash
   LSH, SimHash, n-gram Jaccard, embedding cosine), similarity search,
-  text quality/language stats, multimodal stubs.
+  text quality/language stats, multimodal container decode.
 - ``pipelines`` — oracle-checked pipelines over the driver test tables.
 
 Nothing in this package calls ``ray.init``/``ray.shutdown``; sessions

@@ -508,14 +508,16 @@ def winnow_pairs(ds, *, k: int = 3, w: int = 4, min_shared: int = 2,
     return _shingle_pair_scores(exploded, max_df, num_parts, min_shared)
 
 
-def exact_jaccard_for_pair_ds(ds, cand, n: int = 3,
+def exact_jaccard_for_pair_ds(ds, cand, threshold: float, n: int = 3,
                               text_col: str = "text", id_col: str = "doc_id",
                               num_parts: int = 32,
                               m_bits: int = 1 << 20, k_hashes: int = 4,
                               cleanup_after: list[str] | None = None):
     """Exact distinct-shingle Jaccard for a candidate-pair DATASET
-    (columns ``a``, ``b``; duplicate rows allowed) — the verification
-    stage after LSH/SimHash candidate generation.  Nothing pair-sized
+    (columns ``a``, ``b``; duplicate rows allowed), keeping pairs with
+    jaccard >= ``threshold`` — the verification stage after LSH
+    candidate generation.  The result carries its (a, b, inter,
+    jaccard) schema even when no pair survives.  Nothing pair-sized
     ever reaches the driver, so a pathological corpus where every doc
     is a near-dup (candidates ≫ driver RAM) still verifies in bounded
     driver memory:
@@ -662,8 +664,9 @@ def exact_jaccard_for_pair_ds(ds, cand, n: int = 3,
         # keep candidate pairs that share >= 1 shingle (same rows the
         # keyset-filtered path produced: non-candidates out, zero-
         # intersection candidates produce no partial row there either)
-        keep = (is_c >= 1) & (inter >= 1)
+        # and reach the threshold
         jac = _round6_up(inter / np.maximum(na + nb - inter, 1))
+        keep = (is_c >= 1) & (inter >= 1) & (jac >= threshold)
         ka = pa.array(keep)
         return pa.table(
             {
@@ -685,35 +688,46 @@ def exact_jaccard_for_pair_ds(ds, cand, n: int = 3,
 # minhash + LSH
 # ---------------------------------------------------------------------------
 
-def _rolling_shingle_hashes(batch: pa.Table, text_col: str, k: int):
-    """k-token rolling shingle hashes per doc, vectorized over the flat
-    token stream (md5-low64 per unique term, xor-rotate window combine).
-    Returns (flat uint64 hashes, per-doc offsets, token counts)."""
+def _token_hashes(batch: pa.Table, text_col: str):
+    """md5-low64 hash of every token of the flat token stream, each
+    distinct term hashed once.  Returns (parent doc per token, uint64
+    hashes, doc count)."""
     parents, _pos, terms, n = flat_tokens(batch[text_col])
     tcodes = terms.dictionary_encode()
     codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
     th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
+    return parents, th, n
+
+
+def _window_hashes(parents: np.ndarray, th: np.ndarray, k: int):
+    """Hash of every k-token window inside one doc: token j of the
+    window rotated left by j bits, all xor-ed.  Returns (uint64 hashes,
+    parent doc per window)."""
+    W = len(th) - k + 1
+    if W <= 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    sh = np.zeros(W, dtype=np.uint64)
+    for j in range(k):
+        c = th[j : j + W]
+        sh ^= ((c << np.uint64(j)) | (c >> np.uint64(64 - j))) if j else c
+    valid = parents[:W] == parents[k - 1 : k - 1 + W]
+    return sh[valid], parents[:W][valid]
+
+
+def _rolling_shingle_hashes(batch: pa.Table, text_col: str, k: int):
+    """k-token rolling shingle hashes per doc, vectorized over the flat
+    token stream (:func:`_token_hashes`, :func:`_window_hashes`).
+    Returns (flat uint64 hashes, per-doc offsets, token counts)."""
+    parents, th, n = _token_hashes(batch, text_col)
     counts = np.bincount(parents, minlength=n) if len(parents) else np.zeros(n, dtype=np.int64)
-    L = len(th)
-    W = L - k + 1
-    if W > 0:
-        sh = np.zeros(W, dtype=np.uint64)
-        for j in range(k):
-            c = th[j : j + W]
-            r = np.uint64(j)
-            rot = (c << r) | (c >> np.uint64(64 - int(j))) if j else c
-            sh ^= rot
-        valid = parents[:W] == parents[k - 1 : k - 1 + W]
-    else:
-        sh = np.zeros(0, dtype=np.uint64)
-        valid = np.zeros(0, dtype=bool)
+    sh, sh_par = _window_hashes(parents, th, k)
     # short docs (0 < tokens < k): one xor-combined shingle of all tokens
     offs = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offs[1:])
     short = np.flatnonzero((counts > 0) & (counts < k))
-    parts_flat = [sh[valid]]
-    parts_par = [parents[:W][valid] if W > 0 else np.zeros(0, dtype=np.int64)]
+    parts_flat = [sh]
+    parts_par = [sh_par]
     if len(short):
         sxor = np.array(
             [np.bitwise_xor.reduce(th[offs[d] : offs[d + 1]]) for d in short],
@@ -1009,13 +1023,9 @@ def minhash_dedup_pairs(ds, threshold: float = 0.5, k: int = 3,
         ),
         ["band", "bhash"], bucket_reduce, num_parts=num_parts, stats=st,
     )
-    verified = exact_jaccard_for_pair_ds(
-        ds, cand, n=k, text_col=text_col, id_col=id_col, num_parts=num_parts,
-        cleanup_after=[st["root"]],
-    )
-    return verified.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["jaccard"], threshold)),
-        batch_format="pyarrow",
+    return exact_jaccard_for_pair_ds(
+        ds, cand, threshold, n=k, text_col=text_col, id_col=id_col,
+        num_parts=num_parts, cleanup_after=[st["root"]],
     )
 
 
@@ -1040,22 +1050,8 @@ def _doc_shingle_hash_sets(batch: pa.Table, text_col: str, k: int):
     set, exactly like :func:`doc_shingles` — the synthetic short-doc
     shingle that minhash signatures use is excluded).  Returns
     (flat sorted-distinct uint64 hashes, per-doc offsets)."""
-    parents, _pos, terms, n = flat_tokens(batch[text_col])
-    tcodes = terms.dictionary_encode()
-    codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
-    th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
-    L = len(th)
-    W = L - k + 1
-    if W <= 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(n + 1, dtype=np.int64)
-    sh = np.zeros(W, dtype=np.uint64)
-    for j in range(k):
-        c = th[j : j + W]
-        rot = ((c << np.uint64(j)) | (c >> np.uint64(64 - j))) if j else c
-        sh ^= rot
-    valid = parents[:W] == parents[k - 1 : k - 1 + W]
-    sh, par = sh[valid], parents[:W][valid]
+    parents, th, n = _token_hashes(batch, text_col)
+    sh, par = _window_hashes(parents, th, k)
     # sort by (doc, hash) then drop per-doc duplicates
     order = np.lexsort((sh, par))
     sh, par = sh[order], par[order]
@@ -1413,11 +1409,7 @@ def simhash_signatures(batch: pa.Table, text_col: str = "text", id_col: str = "d
 
     Docs with zero tokens are EXCLUDED (they have no signature; the SQL
     definition likewise produces no row for them)."""
-    parents, _pos, terms, n = flat_tokens(batch[text_col])
-    tcodes = terms.dictionary_encode()
-    codes = tcodes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uh = md5_digests(tcodes.dictionary).view("<u8")[:, 1]
-    th = uh[codes] if len(codes) else np.zeros(0, dtype=np.uint64)
+    parents, th, n = _token_hashes(batch, text_col)
     counts = np.bincount(parents, minlength=n) if len(parents) else np.zeros(n, dtype=np.int64)
     nonempty = np.flatnonzero(counts > 0)
     offs = np.zeros(n + 1, dtype=np.int64)

@@ -14,16 +14,15 @@ from the public container specs — no external imaging library needed:
 - **JPEG** (ISO/IEC 10918-1): marker walk to the first SOF0/1/2
   frame header for precision / height / width / component count.
 
-If Pillow is importable it is preferred (it covers more formats); in
-this container it is not, and the struct decoder above is the real
-path.  ``strict=True`` (production posture) raises only on payloads no
-decoder understands; with ``strict=False`` such payloads degrade to a
-deterministic pseudo-dimension fake so plumbing tests can run on
-arbitrary bytes.
+One stateless stage serves every media kind: each ``extract_*(ds)``
+maps batches of ``(media_id, payload)`` rows through a per-kind
+``decode`` that yields the payload's metadata rows, typed by the kind's
+schema.  Decoders raise only ``ValueError`` on input they cannot read,
+and the stage catches nothing, so a malformed payload fails the job.
 
-Batch-size note: binary payloads are large — size ``batch_size`` so
-``batch_size x concurrency x payload`` fits the worker heap (the
-default 64 here assumes ~MB-scale payloads).
+Batch-size note: binary payloads are large — the stage's batches are
+small (64 payloads, 32 animations) so a batch fits the worker heap at
+~MB-scale payloads.
 """
 
 from __future__ import annotations
@@ -75,6 +74,8 @@ def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, in
     payload, not a header sniff.  Returns (width, height, channels)."""
     if payload[:8] != _PNG_SIG or payload[12:16] != b"IHDR":
         raise ValueError("not a PNG")
+    if len(payload) < 29:
+        raise ValueError("truncated PNG IHDR chunk")
     w, h = struct.unpack(">II", payload[16:24])
     bit_depth, color_type, interlace = payload[24], payload[25], payload[28]
     if color_type not in _PNG_CHANNELS:
@@ -99,9 +100,11 @@ def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, in
         expect = _png_raw_size(w, h, bit_depth * channels, interlace == 1)
         # decompression-bomb guard: the header fixes the exact raw size,
         # so never inflate past it — a malicious 1 KB IDAT expanding to
-        # GBs must fail fast instead of filling an ingest actor's heap
-        d = zlib.decompressobj()
-        raw = d.decompress(bytes(idat), expect + 1)  # caps inflation
+        # GBs must fail fast instead of filling an ingest worker's heap
+        try:
+            raw = zlib.decompressobj().decompress(bytes(idat), expect + 1)
+        except zlib.error as e:
+            raise ValueError(f"corrupt PNG IDAT stream: {e}") from e
         if len(raw) != expect:
             raise ValueError(f"PNG pixel payload {len(raw)} != expected {expect}")
     return int(w), int(h), channels
@@ -110,6 +113,8 @@ def decode_png(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, in
 def decode_bmp(payload: bytes) -> tuple[int, int, int]:
     if payload[:2] != b"BM":
         raise ValueError("not a BMP")
+    if len(payload) < 30:
+        raise ValueError("truncated BMP info header")
     w, h = struct.unpack("<ii", payload[18:26])
     (bpp,) = struct.unpack("<H", payload[28:30])
     return int(w), abs(int(h)), max(1, bpp // 8)
@@ -218,99 +223,40 @@ def synth_bmp(width: int, height: int, seed: int = 0) -> bytes:
     return header + rows.tobytes()
 
 
-# minimal valid 1x1 GIF used to probe whether Pillow works at all
-# (probing with b"" would raise UnidentifiedImageError even when PIL is
-# installed and wrongly conclude no decoder exists)
-_PROBE_IMAGE = (
-    b"GIF89a\x01\x00\x01\x00\x80\x00\x00\x00\x00\x00\xff\xff\xff!\xf9\x04"
-    b"\x00\x00\x00\x00\x00,\x00\x00\x00\x00\x01\x00\x01\x00\x00\x02\x02D\x01\x00;"
-)
+# payloads are large: small batches keep a task's heap bounded
+_BATCH_SIZE = 64
+_FRAME_BATCH_SIZE = 32
+# frame sampling keeps every 3rd decoded frame, at most 8 per animation
+_EVERY_N = 3
+_MAX_FRAMES = 8
 
 
-def _try_pillow(payload: bytes):
-    try:  # pragma: no cover - PIL absent in this container
-        import io
+def _decode_stage(ds, decode, schema: pa.Schema, batch_size: int):
+    """Map ``(media_id, payload)`` batches to ``schema`` rows.
+    ``decode(payload)`` returns that payload's rows without ``media_id``
+    and raises ValueError on a payload it cannot read, which fails the
+    job: the stage catches nothing."""
 
-        from PIL import Image  # type: ignore
+    def stage(batch: pa.Table) -> pa.Table:
+        rows = [
+            {"media_id": str(mid), **row}
+            for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist())
+            for row in decode(p)
+        ]
+        return pa.Table.from_pylist(rows, schema=schema)
 
-        img = Image.open(io.BytesIO(payload))
-        return img.width, img.height, len(img.getbands()), (img.format or "unknown").lower()
-    except Exception:
-        return None
-
-
-def fake_decode_dims(payload: bytes) -> tuple[int, int, int, str]:
-    """Deterministic stand-in for payloads NO decoder understands
-    (arbitrary bytes in plumbing tests with strict=False): pseudo
-    dimensions from the payload length."""
-    n = len(payload)
-    return 64 + n % 1856, 64 + (n * 7) % 1856, 3, "fake"
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
 
 
-class ImageMetaStage:
-    """Actor-pool stage: binary payload -> typed media metadata via a
-    REAL decode (struct parser above; Pillow preferred when importable).
-
-    ``strict=True`` (the default production posture) raises ValueError
-    on payloads no decoder understands; ``strict=False`` degrades those
-    to the deterministic fake so plumbing tests can run arbitrary bytes.
-    """
-
-    def __init__(self, payload_col: str = "payload", id_col: str = "media_id",
-                 strict: bool = True, verify_pixels: bool = True):
-        self.payload_col = payload_col
-        self.id_col = id_col
-        self.strict = strict
-        self.verify_pixels = verify_pixels
-        self.have_pillow = _try_pillow(_PROBE_IMAGE) is not None
-
-    def _decode(self, p: bytes) -> tuple[int, int, int, str]:
-        if self.have_pillow:
-            res = _try_pillow(p)
-            if res is not None:
-                return res
-        try:
-            return decode_image(p, verify_pixels=self.verify_pixels)
-        except (ValueError, zlib.error, struct.error, IndexError):
-            if self.strict:
-                raise
-            return fake_decode_dims(p)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        ids = batch[self.id_col].to_pylist()
-        w, h, ch, fmt = [], [], [], []
-        for p in payloads:
-            a, b, c, f = self._decode(p)
-            w.append(a)
-            h.append(b)
-            ch.append(c)
-            fmt.append(f)
-        return pa.table(
-            {
-                "media_id": pa.array([str(i) for i in ids], type=pa.string()),
-                "n_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
-                "width": pa.array(w, type=pa.int32()),
-                "height": pa.array(h, type=pa.int32()),
-                "channels": pa.array(ch, type=pa.int32()),
-                "format": pa.array(fmt, type=pa.string()),
-            }
-        )
+def _image_rows(payload: bytes) -> list[dict]:
+    w, h, ch, fmt = decode_image(payload)
+    return [{"n_bytes": len(payload), "width": w, "height": h, "channels": ch, "format": fmt}]
 
 
-def extract_media_meta(ds, payload_col: str = "payload", id_col: str = "media_id",
-                       concurrency=(1, 4), batch_size: int = 64,
-                       strict: bool = True, verify_pixels: bool = True):
-    """The actor-pool decode stage: small batches (payloads are big),
-    state (decoder availability probe) built once per actor."""
-    return ds.map_batches(
-        ImageMetaStage,
-        fn_constructor_kwargs={"payload_col": payload_col, "id_col": id_col,
-                               "strict": strict, "verify_pixels": verify_pixels},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def extract_media_meta(ds):
+    """Image payloads -> ``MEDIA_META_SCHEMA`` rows, decoded by the
+    container parsers above (PNG pixel payload included)."""
+    return _decode_stage(ds, _image_rows, MEDIA_META_SCHEMA, _BATCH_SIZE)
 
 
 # -- audio: WAV/RIFF (real decode, public spec) --------------------------
@@ -376,55 +322,10 @@ def synth_wav(n_frames: int, channels: int = 1, sample_rate: int = 16000,
     return hdr + data
 
 
-class AudioMetaStage:
-    """Actor-pool stage: WAV payload -> typed audio metadata via the
-    real RIFF parse; strict by default (a malformed payload raises)."""
-
-    def __init__(self, payload_col: str = "payload", id_col: str = "media_id",
-                 strict: bool = True):
-        self.payload_col = payload_col
-        self.id_col = id_col
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        ids = batch[self.id_col].to_pylist()
-        cols = {k: [] for k in ("channels", "sample_rate", "bits_per_sample",
-                                "n_frames", "duration_ms")}
-        for p in payloads:
-            try:
-                m = decode_wav(p)
-            except (ValueError, struct.error, IndexError):
-                if self.strict:
-                    raise
-                m = {"channels": 0, "sample_rate": 0, "bits_per_sample": 0,
-                     "n_frames": 0, "duration_ms": 0}
-            for k in cols:
-                cols[k].append(m[k])
-        return pa.table(
-            {
-                "media_id": pa.array([str(i) for i in ids], type=pa.string()),
-                "n_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
-                "channels": pa.array(cols["channels"], type=pa.int32()),
-                "sample_rate": pa.array(cols["sample_rate"], type=pa.int32()),
-                "bits_per_sample": pa.array(cols["bits_per_sample"], type=pa.int32()),
-                "n_frames": pa.array(cols["n_frames"], type=pa.int64()),
-                "duration_ms": pa.array(cols["duration_ms"], type=pa.int64()),
-            }
-        )
-
-
-def extract_audio_meta(ds, payload_col: str = "payload", id_col: str = "media_id",
-                       concurrency=(1, 4), batch_size: int = 64,
-                       strict: bool = True):
-    return ds.map_batches(
-        AudioMetaStage,
-        fn_constructor_kwargs={"payload_col": payload_col, "id_col": id_col,
-                               "strict": strict},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def extract_audio_meta(ds):
+    """WAV payloads -> ``AUDIO_META_SCHEMA`` rows via the RIFF chunk walk."""
+    return _decode_stage(ds, lambda p: [{"n_bytes": len(p), **decode_wav(p)}],
+                         AUDIO_META_SCHEMA, _BATCH_SIZE)
 
 
 # -- video: MP4 / ISO-BMFF (real container parse, public spec) -----------
@@ -449,6 +350,8 @@ def _walk_boxes(buf: bytes, start: int, end: int):
         btype = buf[pos + 4 : pos + 8]
         hdr = 8
         if size == 1:  # 64-bit largesize: 16-byte header
+            if pos + 16 > end:
+                raise ValueError(f"truncated largesize box {btype!r} at {pos}")
             (size,) = struct.unpack(">Q", buf[pos + 8 : pos + 16])
             hdr = 16
         if size < hdr or pos + size > end:
@@ -469,12 +372,14 @@ def decode_mp4(payload: bytes) -> dict:
         elif btype == b"moov":
             for ityp, is_, ie in _walk_boxes(payload, s, e):
                 if ityp == b"mvhd":
-                    ver = payload[is_]
-                    if ver == 1:
-                        ts, dur = struct.unpack(">IQ", payload[is_ + 20 : is_ + 32])
-                    else:
-                        ts, dur = struct.unpack(">II", payload[is_ + 12 : is_ + 20])
-                    mvhd = (ts, dur)
+                    # (timescale, duration) at offset 12 in version 0;
+                    # version 1 has 64-bit times, so offset 20 and a
+                    # 64-bit duration
+                    body = payload[is_:ie]
+                    fmt, off = (">IQ", 20) if body[:1] == b"\x01" else (">II", 12)
+                    if len(body) < off + struct.calcsize(fmt):
+                        raise ValueError(f"truncated mvhd box at {is_}")
+                    mvhd = struct.unpack_from(fmt, body, off)
                 elif ityp == b"trak":
                     n_tracks += 1
                     for ttyp, ts_, te in _walk_boxes(payload, is_, ie):
@@ -482,6 +387,8 @@ def decode_mp4(payload: bytes) -> dict:
                             # tkhd width/height are the LAST 8 bytes of
                             # the box, 16.16 fixed point (same offset
                             # for version 0 and 1)
+                            if te - ts_ < 8:
+                                raise ValueError(f"truncated tkhd box at {ts_}")
                             tw, th = struct.unpack(
                                 ">II", payload[te - 8 : te])
                             w = max(w, tw >> 16)
@@ -524,54 +431,10 @@ def synth_mp4(width: int, height: int, duration_ms: int,
     return ftyp + mdat + moov
 
 
-class VideoMetaStage:
-    """Actor-pool stage: MP4 payload -> typed container metadata via the
-    real box walk; strict by default."""
-
-    def __init__(self, payload_col: str = "payload", id_col: str = "media_id",
-                 strict: bool = True):
-        self.payload_col = payload_col
-        self.id_col = id_col
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        ids = batch[self.id_col].to_pylist()
-        cols = {k: [] for k in ("width", "height", "duration_ms", "n_tracks", "brand")}
-        for p in payloads:
-            try:
-                m = decode_mp4(p)
-            except (ValueError, struct.error, IndexError):
-                if self.strict:
-                    raise
-                m = {"width": 0, "height": 0, "duration_ms": 0,
-                     "n_tracks": 0, "brand": ""}
-            for k in cols:
-                cols[k].append(m[k])
-        return pa.table(
-            {
-                "media_id": pa.array([str(i) for i in ids], type=pa.string()),
-                "n_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
-                "width": pa.array(cols["width"], type=pa.int32()),
-                "height": pa.array(cols["height"], type=pa.int32()),
-                "duration_ms": pa.array(cols["duration_ms"], type=pa.int64()),
-                "n_tracks": pa.array(cols["n_tracks"], type=pa.int32()),
-                "brand": pa.array(cols["brand"], type=pa.string()),
-            }
-        )
-
-
-def extract_video_meta(ds, payload_col: str = "payload", id_col: str = "media_id",
-                       concurrency=(1, 4), batch_size: int = 64,
-                       strict: bool = True):
-    return ds.map_batches(
-        VideoMetaStage,
-        fn_constructor_kwargs={"payload_col": payload_col, "id_col": id_col,
-                               "strict": strict},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def extract_video_meta(ds):
+    """MP4 payloads -> ``VIDEO_META_SCHEMA`` rows via the ISO-BMFF box walk."""
+    return _decode_stage(ds, lambda p: [{"n_bytes": len(p), **decode_mp4(p)}],
+                         VIDEO_META_SCHEMA, _BATCH_SIZE)
 
 
 # -- animated GIF: REAL frame decode via from-scratch LZW ----------------
@@ -776,58 +639,23 @@ def synth_gif_animation(width: int, height: int, n_frames: int,
     return bytes(out)
 
 
-class FrameSampleStage:
-    """Actor-pool stage: animated-GIF payloads -> one row per SAMPLED
-    frame (true pixel decode via the LZW codec; strict raises on malformed)."""
-
-    def __init__(self, payload_col: str = "payload", id_col: str = "media_id",
-                 every_n: int = 30, max_frames: int = 8, strict: bool = True):
-        self.payload_col = payload_col
-        self.id_col = id_col
-        self.every_n = every_n
-        self.max_frames = max_frames
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_pylist()
-        rows = {k: [] for k in ("media_id", "frame_index", "width", "height",
-                                "pixel_sha256", "mean_index")}
-        for mid, p in zip(ids, batch[self.payload_col].to_pylist()):
-            try:
-                samples = frame_sample(p, self.every_n, self.max_frames)
-            except (ValueError, struct.error, IndexError):
-                if self.strict:
-                    raise
-                samples = []
-            for s in samples:
-                rows["media_id"].append(str(mid))
-                for k in ("frame_index", "width", "height",
-                          "pixel_sha256", "mean_index"):
-                    rows[k].append(s[k])
-        return pa.table({
-            "media_id": pa.array(rows["media_id"], type=pa.string()),
-            "frame_index": pa.array(rows["frame_index"], type=pa.int64()),
-            "width": pa.array(rows["width"], type=pa.int32()),
-            "height": pa.array(rows["height"], type=pa.int32()),
-            "pixel_sha256": pa.array(rows["pixel_sha256"], type=pa.string()),
-            "mean_index": pa.array(rows["mean_index"], type=pa.float64()),
-        })
+FRAME_SAMPLE_SCHEMA = pa.schema(
+    [
+        ("media_id", pa.string()),
+        ("frame_index", pa.int64()),
+        ("width", pa.int32()),
+        ("height", pa.int32()),
+        ("pixel_sha256", pa.string()),
+        ("mean_index", pa.float64()),
+    ]
+)
 
 
-def extract_frame_samples(ds, payload_col: str = "payload",
-                          id_col: str = "media_id", every_n: int = 30,
-                          max_frames: int = 8, concurrency=(1, 4),
-                          batch_size: int = 32, strict: bool = True):
-    """Distributed frame sampling over a binary animated-GIF column."""
-    return ds.map_batches(
-        FrameSampleStage,
-        fn_constructor_kwargs={"payload_col": payload_col, "id_col": id_col,
-                               "every_n": every_n, "max_frames": max_frames,
-                               "strict": strict},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def extract_frame_samples(ds):
+    """Animated-GIF payloads -> one ``FRAME_SAMPLE_SCHEMA`` row per
+    sampled frame (every 3rd decoded frame, at most 8)."""
+    return _decode_stage(ds, lambda p: frame_sample(p, _EVERY_N, _MAX_FRAMES),
+                         FRAME_SAMPLE_SCHEMA, _FRAME_BATCH_SIZE)
 
 
 def frame_sample(payload: bytes, every_n: int = 30,

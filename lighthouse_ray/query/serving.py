@@ -41,6 +41,8 @@ from .engine import SearchError
 # HEDGE_MIN_S) before they are duplicated onto their standby
 HEDGE_FACTOR = 1.0
 HEDGE_MIN_S = 0.02
+# upper bound on how long shutdown() waits for killed replicas to die
+SHUTDOWN_WAIT_S = 30.0
 
 
 @ray.remote
@@ -250,6 +252,20 @@ class SearchService:
         return _get(self._cells(self._row())[0].status.remote())
 
     def shutdown(self):
+        """Kill every replica and return once each is dead.  ``ray.kill``
+        is asynchronous, so a call sent right after it may still be
+        answered: each replica is polled until a call on it raises
+        ``RayActorError``, for at most ``SHUTDOWN_WAIT_S`` in all."""
         for r in self.replicas:
             ray.kill(r)
+        deadline = time.monotonic() + SHUTDOWN_WAIT_S
+        for r in self.replicas:
+            while time.monotonic() < deadline:
+                try:
+                    ray.get(r.status.remote(), timeout=max(deadline - time.monotonic(), 0.0))
+                except ray.exceptions.RayActorError:
+                    break
+                except ray.exceptions.GetTimeoutError:
+                    pass
+                time.sleep(0.01)
         self.replicas = []

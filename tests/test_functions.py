@@ -172,6 +172,35 @@ def test_incremental_neardup_probe(ray_session, tmp_path):
         minhash_index_probe(rd.from_arrow(new), empty_idx)
 
 
+def test_neardup_empty_results_keep_pair_schema(ray_session, tmp_path):
+    """A near-dup run that finds no pair returns the same (a, b, inter,
+    jaccard) columns and types as a run with pairs."""
+    import ray.data as rd
+
+    from lighthouse_ray.functions.dedup import (
+        minhash_dedup_pairs,
+        minhash_index_probe,
+        minhash_index_write,
+    )
+
+    def schema_of(ds):
+        s = ds.schema()
+        return s and pa.schema(list(zip(s.names, s.types)))
+
+    pairs = minhash_dedup_pairs(rd.from_arrow(_docs_table([BASE, NEAR])), threshold=0.3, k=3)
+    assert pairs.count() == 1
+    want = schema_of(pairs)
+    assert want.names == ["a", "b", "inter", "jaccard"]
+    none = minhash_dedup_pairs(rd.from_arrow(_docs_table([BASE, OTHER])), threshold=0.3, k=3)
+    assert none.count() == 0 and schema_of(none) == want
+
+    idx = str(tmp_path / "idx")
+    minhash_index_write(rd.from_arrow(_docs_table([BASE])), idx, num_parts=4)
+    new = pa.table({"doc_id": pa.array([100], type=pa.int64()), "text": pa.array([OTHER])})
+    probe = minhash_index_probe(rd.from_arrow(new), idx, threshold=0.3)
+    assert probe.count() == 0 and schema_of(probe) == want
+
+
 def test_simhash_near_dup(ray_session):
     import ray.data as rd
 
@@ -344,13 +373,12 @@ def test_lang_id_deterministic(ray_session):
 
 
 def test_multimodal_stage(ray_session):
-    """Distributed decode over genuinely valid synthesized images
-    (strict mode — a decoder failure fails the stage), plus the
-    non-strict degrade path for unrecognizable bytes."""
+    """Distributed decode over genuinely valid synthesized images; a
+    payload no decoder understands fails the stage with ValueError."""
     import ray.data as rd
+    from ray.data import DataContext
 
     from lighthouse_ray.functions.multimodal import (
-        ImageMetaStage,
         extract_media_meta,
         synth_bmp,
         synth_png,
@@ -366,8 +394,7 @@ def test_multimodal_stage(ray_session):
             ),
         }
     )
-    out = extract_media_meta(rd.from_arrow(t), strict=True).to_pandas() \
-        .sort_values("media_id")
+    out = extract_media_meta(rd.from_arrow(t)).to_pandas().sort_values("media_id")
     assert out["width"].tolist() == [17, 5, 13]
     assert out["height"].tolist() == [9, 40, 7]
     assert out["channels"].tolist() == [3, 4, 3]
@@ -377,10 +404,14 @@ def test_multimodal_stage(ray_session):
         "media_id": pa.array(["x"], type=pa.string()),
         "payload": pa.array([b"not an image"], type=pa.large_binary()),
     })
-    with pytest.raises(ValueError):
-        ImageMetaStage(strict=True)(junk)
-    soft = ImageMetaStage(strict=False)(junk)
-    assert soft["format"].to_pylist() == ["fake"]
+    # Ray wraps a map task's error unless told to raise the original
+    ctx = DataContext.get_current()
+    saved, ctx.raise_original_map_exception = ctx.raise_original_map_exception, True
+    try:
+        with pytest.raises(ValueError, match="unrecognized image container"):
+            extract_media_meta(rd.from_arrow(junk)).materialize()
+    finally:
+        ctx.raise_original_map_exception = saved
 
 
 def test_connected_components_vs_bfs(ray_session):
@@ -1453,6 +1484,27 @@ def test_driver_contract_consistency():
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
     for name, sql in sqls.items():
         con.execute("EXPLAIN " + sql)  # raises on any parse/bind error
+
+
+@pytest.mark.parametrize("gate", ["multimodal_meta", "audio_meta", "video_meta", "video_frames"])
+def test_media_gate_matches_oracle(ray_session, gate):
+    """Each media gate equals its DuckDB oracle, compared as
+    ``scripts/check_driver_queries.py`` compares: canonical frames with
+    equal columns and row count, then values to 1e-9."""
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as m
+    from scripts.check_driver_queries import canon, to_pandas
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
+    got = canon(to_pandas(m.queries()[gate](SF)))
+    want = canon(con.execute(m.oracle_sql()[gate]).df())
+    assert list(got.columns) == list(want.columns)
+    assert len(got) == len(want) > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=False,
+                                  rtol=1e-9, atol=1e-9)
 
 
 def test_levenshtein_batch_matches_duckdb():

@@ -8,7 +8,6 @@ import zlib
 import pytest
 
 from lighthouse_ray.functions.multimodal import (
-    _PROBE_IMAGE,
     decode_bmp,
     decode_gif,
     decode_image,
@@ -16,6 +15,12 @@ from lighthouse_ray.functions.multimodal import (
     decode_png,
     synth_bmp,
     synth_png,
+)
+
+# a 1x1 GIF89a written by an independent encoder
+_INDEPENDENT_GIF = (
+    b"GIF89a\x01\x00\x01\x00\x80\x00\x00\x00\x00\x00\xff\xff\xff!\xf9\x04"
+    b"\x00\x00\x00\x00\x00,\x00\x00\x00\x00\x01\x00\x01\x00\x00\x02\x02D\x01\x00;"
 )
 
 
@@ -81,8 +86,8 @@ def _replace_idat(p: bytes, new_idat: bytes) -> bytes:
 
 
 def test_gif_decode():
-    assert decode_gif(_PROBE_IMAGE) == (1, 1, 1)
-    assert decode_image(_PROBE_IMAGE)[3] == "gif"
+    assert decode_gif(_INDEPENDENT_GIF) == (1, 1, 1)
+    assert decode_image(_INDEPENDENT_GIF)[3] == "gif"
 
 
 def test_jpeg_sof_parse():
@@ -150,8 +155,7 @@ def test_audio_stage_distributed(ray_session):
         "payload": pa.array([synth_wav(100, 1, 8000), synth_wav(50, 2, 44100)],
                             type=pa.large_binary()),
     })
-    out = extract_audio_meta(rd.from_arrow(t), strict=True).to_pandas() \
-        .sort_values("media_id")
+    out = extract_audio_meta(rd.from_arrow(t)).to_pandas().sort_values("media_id")
     assert out["n_frames"].tolist() == [100, 50]
     assert out["channels"].tolist() == [1, 2]
     assert out["sample_rate"].tolist() == [8000, 44100]
@@ -179,6 +183,19 @@ def test_mp4_rejects_malformed():
         decode_mp4(synth_mp4(64, 64, 100)[:40])  # truncated moov
     with _pt.raises(ValueError):
         decode_mp4(b"garbage that is not boxes at all!")
+    with _pt.raises(ValueError, match="largesize"):  # 12 of 16 header bytes
+        decode_mp4(struct.pack(">I", 1) + b"mdat" + bytes(4))
+    empty_mvhd = struct.pack(">I", 8) + b"mvhd"
+    with _pt.raises(ValueError, match="mvhd"):
+        decode_mp4(synth_mp4(64, 64, 100)[:40] + struct.pack(">I", 16) + b"moov" + empty_mvhd)
+    # an empty tkhd has no width/height fields: reading its last 8 bytes
+    # would take them from the box's own header
+    p = synth_mp4(64, 32, 900)
+    (mvhd_len,) = struct.unpack(">I", p[48:52])  # first box inside moov
+    mvhd = p[48:48 + mvhd_len]
+    trak = struct.pack(">I", 16) + b"trak" + struct.pack(">I", 8) + b"tkhd"
+    with _pt.raises(ValueError, match="tkhd"):
+        decode_mp4(p[:40] + struct.pack(">I", 8 + len(mvhd) + len(trak)) + b"moov" + mvhd + trak)
 
 
 def test_mp4_64bit_largesize_and_v1_mvhd():
@@ -211,11 +228,9 @@ def test_png_decompression_bomb_bounded():
 
 
 def test_decoders_fuzz_raise_only_expected_types():
-    """Random/garbled bytes through every decoder must raise ONLY the
-    exception types the strict actor stages catch-and-reraise — nothing
-    a fleet-wide ingest would crash on unexpectedly."""
+    """Random/garbled bytes through every decoder either decode or raise
+    ValueError, the one error type the decode stage documents."""
     import random
-    import zlib as _z
 
     from lighthouse_ray.functions.multimodal import (
         decode_gif_frames,
@@ -242,12 +257,11 @@ def test_decoders_fuzz_raise_only_expected_types():
         for i in range(0, len(b), max(1, len(b) // 17)):
             b[i] ^= 0xFF
         seeds.append(bytes(b))
-    allowed = (ValueError, _z.error, struct.error, IndexError)
     for payload in seeds:
         for fn in (decode_image, decode_wav, decode_mp4):
             try:
                 fn(payload)
-            except allowed:
+            except ValueError:
                 pass
 
     # GIF: every truncation and a spread of byte corruptions of a valid
@@ -264,6 +278,42 @@ def test_decoders_fuzz_raise_only_expected_types():
                 fn(payload)
             except ValueError:
                 pass
+
+
+def _truncations_and_corruptions(p: bytes):
+    """Every truncation of ``p``, then every single-byte corruption at
+    every offset."""
+    yield from (p[:cut] for cut in range(len(p)))
+    for i in range(len(p)):
+        for v in range(256):
+            if v != p[i]:
+                yield p[:i] + bytes([v]) + p[i + 1:]
+
+
+@pytest.mark.parametrize("kind", ["png", "bmp", "wav", "mp4"])
+def test_synth_sweep_raises_only_valueerror(kind):
+    """Every truncation and single-byte corruption of a synthesized file
+    either decodes or raises ValueError — never a ``zlib.error``,
+    ``struct.error`` or ``IndexError`` from a short or garbled field."""
+    from lighthouse_ray.functions.multimodal import (
+        decode_mp4,
+        decode_wav,
+        synth_mp4,
+        synth_wav,
+    )
+
+    payload, decode = {
+        "png": (synth_png(9, 7, 3, 1), decode_image),
+        "bmp": (synth_bmp(5, 4, 2), decode_image),
+        "wav": (synth_wav(30), decode_wav),
+        "mp4": (synth_mp4(64, 32, 900), decode_mp4),
+    }[kind]
+    decode(payload)
+    for p in _truncations_and_corruptions(payload):
+        try:
+            decode(p)
+        except ValueError:
+            pass
 
 
 def test_jpeg_fuzz_truncations_and_corruptions_raise_only_valueerror():
@@ -283,10 +333,7 @@ def test_jpeg_fuzz_truncations_and_corruptions_raise_only_valueerror():
     for payload in (b"\xff\xd8\xff\xc0\x00\x11", b"\xff\xd8\xff\xc0\x00\x11\x08\x00"):
         with pytest.raises(ValueError):
             decode_jpeg(payload)
-    payloads = [jpg[:cut] for cut in range(len(jpg))]
-    payloads += [jpg[:i] + bytes([v]) + jpg[i + 1:]
-                 for i in range(len(jpg)) for v in range(256) if v != jpg[i]]
-    for payload in payloads:
+    for payload in _truncations_and_corruptions(jpg):
         for fn in (decode_jpeg, decode_image):
             try:
                 fn(payload)
@@ -321,9 +368,9 @@ def test_gif_probe_decodes_independent_encoder():
     decoder must read its pixel (external validation of the codec)."""
     import numpy as np
 
-    from lighthouse_ray.functions.multimodal import _PROBE_IMAGE, decode_gif_frames
+    from lighthouse_ray.functions.multimodal import decode_gif_frames
 
-    fr = decode_gif_frames(_PROBE_IMAGE)
+    fr = decode_gif_frames(_INDEPENDENT_GIF)
     assert len(fr) == 1 and fr[0].shape == (1, 1) and fr[0][0, 0] == 0
 
 
@@ -355,7 +402,7 @@ def test_frame_sampling_real_decode(ray_session):
         "payload": pa.array([g, synth_gif_animation(8, 8, 2, seed=5)],
                             type=pa.large_binary()),
     })
-    out = extract_frame_samples(rd.from_arrow(t), every_n=3).to_pandas()
+    out = extract_frame_samples(rd.from_arrow(t)).to_pandas()
     assert sorted(out[out["media_id"] == "a"]["frame_index"]) == [0, 3, 6]
     assert sorted(out[out["media_id"] == "b"]["frame_index"]) == [0]
     with pytest.raises(ValueError):
