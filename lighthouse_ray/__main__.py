@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--index", required=True)
     s.add_argument("-s", dest="query", required=True)
     s.add_argument("--size", type=int, default=10)
-    s.add_argument("--from", dest="from_", type=int, default=None)
+    s.add_argument("--from", dest="from_", type=int, default=0)
     s.add_argument("--channel", default=None)
     s.add_argument("--claim-type", default=None)
     s.add_argument("--media-type", default=None)

@@ -130,29 +130,51 @@ def decode_gif(payload: bytes) -> tuple[int, int, int]:
 
 
 def decode_jpeg(payload: bytes) -> tuple[int, int, int]:
-    """Marker walk to the first SOF0/1/2 frame header."""
+    """Marker walk from SOI through the first SOF0/1/2 frame header and
+    every scan to EOI.  A scan's entropy-coded bytes are skipped, not
+    decoded: in them ``FF00`` is a stuffed byte and ``FFD0``-``FFD7``
+    are restart markers, and any other marker ends the scan.  A file cut
+    short anywhere before its EOI raises ValueError."""
     if payload[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG")
-    pos = 2
-    while pos + 4 <= len(payload):
-        if payload[pos] != 0xFF:
+    n = len(payload)
+    dims, scans, pos = None, 0, 2
+    while True:
+        pos = payload.find(b"\xff", pos)  # stray bytes before a marker are skipped
+        while 0 <= pos < n and payload[pos] == 0xFF:  # fill bytes
             pos += 1
+        if not 0 <= pos < n:
+            raise ValueError("JPEG ends before its EOI")
+        marker = payload[pos]
+        pos += 1
+        if marker == 0xD9:  # EOI
+            break
+        if marker in (0xD8, 0x01) or 0xD0 <= marker <= 0xD7:  # no length field
             continue
-        marker = payload[pos + 1]
-        if marker in (0xD8, 0x01) or 0xD0 <= marker <= 0xD7:
-            pos += 2
-            continue
-        (seglen,) = struct.unpack(">H", payload[pos + 2 : pos + 4])
-        if seglen < 2 or pos + 2 + seglen > len(payload):
+        seglen = int.from_bytes(payload[pos : pos + 2], "big")
+        if seglen < 2 or pos + seglen > n:
             raise ValueError(f"JPEG segment length {seglen} at {pos} runs past the payload")
-        if marker in (0xC0, 0xC1, 0xC2):  # SOF0/1/2
+        if marker in (0xC0, 0xC1, 0xC2) and dims is None:  # SOF0/1/2
             if seglen < 8:
                 raise ValueError(f"JPEG SOF segment too short ({seglen} bytes)")
-            h, w = struct.unpack(">HH", payload[pos + 5 : pos + 9])
-            ncomp = payload[pos + 9]
-            return int(w), int(h), int(ncomp)
-        pos += 2 + seglen
-    raise ValueError("JPEG SOF marker not found")
+            h, w = struct.unpack(">HH", payload[pos + 3 : pos + 7])
+            dims = (int(w), int(h), int(payload[pos + 7]))
+        pos += seglen
+        if marker == 0xDA:  # SOS: skip the scan's entropy-coded bytes
+            if dims is None:
+                raise ValueError("JPEG scan before its frame header")
+            scans += 1
+            while (pos := payload.find(b"\xff", pos)) != -1 and pos + 1 < n and (
+                payload[pos + 1] == 0 or 0xD0 <= payload[pos + 1] <= 0xD7
+            ):
+                pos += 2
+            if pos == -1 or pos + 1 >= n:
+                raise ValueError("JPEG scan runs past the payload")
+    if dims is None:
+        raise ValueError("JPEG SOF marker not found")
+    if not scans:
+        raise ValueError("JPEG has no scan")
+    return dims
 
 
 def decode_image(payload: bytes, verify_pixels: bool = True) -> tuple[int, int, int, str]:

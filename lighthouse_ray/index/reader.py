@@ -494,8 +494,7 @@ class IndexReader:
         """All doc metadata (no content), indexed by ordinal (row i == ordinal i)."""
         if self._docmeta is None:
             ds = pads.dataset(os.path.join(self.index_dir, "docstore"))
-            cols = [c for c in self._META_COLS if c in ds.schema.names]
-            t = ds.to_table(columns=cols)
+            t = ds.to_table(columns=self._META_COLS)
             # sort by ordinal while still columnar Arrow (pandas
             # sort_values moves object columns row-wise — ~3x the wall
             # at a 3.5M-doc store), then convert once

@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis import flat_tokens, sql_tokens_expr, tokenize_text
-from ..util import md5_digests, run_bounds, top_k
+from ..util import collect, md5_digests, run_bounds, top_k
 
 TOK = sql_tokens_expr("text")
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
@@ -825,13 +825,13 @@ def q_pmi_pairs(sf_dir: str):
     )
     n_total = sum(
         r["n"]
-        for r in uni.map_batches(
+        for r in collect(uni.map_batches(
             lambda b: pa.table(
                 {"n": pa.array([int(b["cx"].to_numpy(zero_copy_only=False).sum())
                                 if b.num_rows else 0], type=pa.int64())}
             ),
             batch_format="pyarrow",
-        ).take_all()
+        )).to_pylist()
     )
 
     j1st: dict = {}
@@ -2078,13 +2078,12 @@ def q_rrf_hybrid(sf_dir: str):
         order = top_k(c_int, ids, RRF_DEPTH)
         return pa.table({"doc_id": pa.array(ids[order]), "s": pa.array(c_int[order])})
 
-    den = (
+    den = collect(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"])
         .map_batches(dense_combine, batch_format="pyarrow")
         .sort(["s", "doc_id"], descending=[True, False])
         .limit(RRF_DEPTH)
-        .to_pandas()
-    )
+    ).to_pandas()
 
     # fusion over <= 2*DEPTH rows (summary-sized).  Contribution order
     # is fixed (lexical + dense) so the float sum mirrors the SQL.
@@ -3011,7 +3010,7 @@ def q_decontaminate(sf_dir: str):
         return pa.table({"s": sh["sh"].unique()})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    bench_vals = ds.map_batches(bench_part, batch_format="pyarrow").to_pandas()["s"]
+    bench_vals = collect(ds.map_batches(bench_part, batch_format="pyarrow")).to_pandas()["s"]
     # checked invariant, not a comment: the collected per-batch-distinct
     # partials bound the broadcast set from above
     if len(bench_vals) > DECON_MAX_BENCH_SHINGLES:
@@ -3565,14 +3564,13 @@ def q_pq_ann(sf_dir: str):
         return _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     books = pq_fit(emb(), m=PQ_M, n_codes=PQ_CODES, iters=PQ_ITERS)
-    qrow = (
+    qrow = collect(
         emb()
         .map_batches(
             lambda b: b.filter(pc.equal(b["vec_id"], PQ_QID)),
             batch_format="pyarrow",
         )
-        .to_pandas()
-    )
+    ).to_pandas()
     query_q = _quantize(
         np.asarray(qrow["embedding"].iloc[0], dtype=np.float64)[None, :], 1000, 1000
     )[0]
@@ -3633,7 +3631,7 @@ def q_domain_quota(sf_dir: str):
 
     ids = _read(sf_dir, "documents", ["doc_id", "source"])
     kept = group_topn_min(ids, group_col="source", val_col="doc_id", n=QUOTA_N)
-    cut = kept.groupby("source").aggregate(Max("doc_id", alias_name="cut")).to_pandas()
+    cut = collect(kept.groupby("source").aggregate(Max("doc_id", alias_name="cut"))).to_pandas()
     sources = pa.array(cut["source"], type=pa.string())
     cutoffs = cut["cut"].to_numpy().astype(np.int64)
     ref = ray.put((sources, cutoffs))
@@ -4057,9 +4055,9 @@ def q_regex_search(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     idx = build_trigram_index(ds, num_parts=32)
     try:
-        return regex_search(
+        return collect(regex_search(
             _read(sf_dir, "documents", ["doc_id", "text"]), idx, REGEX_PATTERN
-        ).to_pandas()
+        )).to_pandas()
     finally:
         import shutil
 
@@ -4279,13 +4277,12 @@ def q_significant_terms(sf_dir: str):
         agg = pa.table({"lang": b["lang"]}).group_by("lang").aggregate([([], "count_all")])
         return pa.table({"lang": agg["lang"], "n": agg["count_all"].cast(pa.int64())})
 
-    nl_rows = (
+    nl_rows = collect(
         _read(sf_dir, "documents", ["lang"])
         .map_batches(cnt, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )
+    ).to_pylist()
     n_lang = {r["lang"]: float(r["n"]) for r in nl_rows}
     n_all = float(sum(n_lang.values()))
 
@@ -4440,14 +4437,13 @@ def q_vocab_prune(sf_dir: str):
                              pa.scalar(n_docs, pa.int64()))
         return b.filter(m)
 
-    df_rows = (
+    df_rows = collect(
         _read(sf_dir, "documents", ["text"])
         .map_batches(df_partial, batch_format="pyarrow")
         .groupby("term")
         .aggregate(Sum("n", alias_name="df"))
         .map_batches(head_cut, batch_format="pyarrow")
-        .take_all()
-    )
+    ).to_pylist()
     keep = pa.array(sorted(r["term"] for r in df_rows))
 
     def f(b: pa.Table) -> pa.Table:
@@ -4640,15 +4636,12 @@ def q_composite_agg(sf_dir: str):
             "n": g["count_all"].cast(pa.int64()),
         })
 
-    agg = (
+    agg = collect(
         _read(sf_dir, "documents", ["lang", "source"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "source"])
         .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-        .sort_values(["lang", "source"], kind="stable")
-        .reset_index(drop=True)
-    )
+    ).to_pandas().sort_values(["lang", "source"], kind="stable").reset_index(drop=True)
     a_lang, a_src = COMPOSITE_AFTER
     if a_src is None:
         keep = agg["lang"] > a_lang
@@ -4812,13 +4805,12 @@ def q_approx_percentiles(sf_dir: str):
             }
         )
 
-    hist = (
+    hist = collect(
         _read(sf_dir, "events", ["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["event_type", "bin"])
         .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )  # summary-sized: <= groups x BINS rows
+    ).to_pandas()  # summary-sized: <= groups x BINS rows
     out = []
     for et, g in hist.groupby("event_type"):
         g = g.sort_values("bin")
@@ -4922,13 +4914,12 @@ def q_rollup_counts(sf_dir: str):
             }
         )
 
-    fine = (
+    fine = collect(
         _read(sf_dir, "events", ["ts", "event_type", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["day", "event_type"])
         .aggregate(Sum("v", alias_name="v"), Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    ).to_pandas()
     by_day = fine.groupby("day", as_index=False)[["v", "n"]].sum()
     by_day["event_type"] = None
     total = pd.DataFrame(
@@ -4980,11 +4971,10 @@ def q_weighted_sample(sf_dir: str):
             t = t.filter(pa.array(key >= kth))
         return t
 
-    cand = (
+    cand = collect(
         _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )  # <= k rows per input block
+    ).to_pandas()  # <= k rows per input block
     cand = cand.sort_values(["key", "doc_id"], ascending=[False, True]).head(k)
     return pd.DataFrame(
         {
@@ -5043,13 +5033,12 @@ def q_linreg_fit(sf_dir: str):
             }
         )
 
-    agg = (
+    agg = collect(
         _read(sf_dir, "documents", ["lang", "text", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxx", "sxy", "syy")])
-        .to_pandas()
-    )  # |langs| rows
+    ).to_pandas()  # |langs| rows
     n = agg["n"].to_numpy().astype(np.float64)
     sx = agg["sx"].to_numpy().astype(np.float64)
     sy = agg["sy"].to_numpy().astype(np.float64)
@@ -5111,10 +5100,10 @@ def q_session_funnel(sf_dir: str):
     (functions/windows.py::session_funnel)."""
     from ..functions.windows import session_funnel
 
-    parts = session_funnel(
+    parts = collect(session_funnel(
         _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]),
         first_type="click", then_type="purchase", gap_us=SESSION_GAP_US,
-    ).to_pandas()
+    )).to_pandas()
     ns = int(parts["n_sessions"].sum())
     nc = int(parts["n_converted"].sum())
     rate = float(np.floor(nc / ns * 1e6 + 0.5) / 1e6) if ns else 0.0
@@ -5190,7 +5179,7 @@ def q_extended_stats(sf_dir: str):
             }
         )
 
-    agg = (
+    agg = collect(
         _read(sf_dir, "documents", ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
@@ -5201,8 +5190,7 @@ def q_extended_stats(sf_dir: str):
             Min("mn", alias_name="mn"),
             Max("mx", alias_name="mx"),
         )
-        .to_pandas()
-    )
+    ).to_pandas()
     n = agg["n"].to_numpy().astype(np.float64)
     s = agg["s"].to_numpy().astype(np.float64)
     s2 = agg["s2"].to_numpy().astype(np.float64)
@@ -5296,13 +5284,12 @@ def q_countmin_counts(sf_dir: str):
             "n": pa.array(ns, type=pa.int64()),
         })
 
-    agg = (
+    agg = collect(
         _read(sf_dir, "events", ["event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["kind", "key"])
         .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    ).to_pandas()
     cells = {r["key"]: int(r["n"]) for _, r in agg[agg["kind"] == "c"].iterrows()}
     exact = {r["key"]: int(r["n"]) for _, r in agg[agg["kind"] == "e"].iterrows()}
     rows = []
@@ -5390,13 +5377,12 @@ def q_pivot_counts(sf_dir: str):
         out.update({k: pa.array(v) for k, v in data.items()})
         return pa.table(out)
 
-    agg = (
+    agg = collect(
         _read(sf_dir, "events", ["ts", "event_type", "value"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(*[Sum(c, alias_name=c) for c in cols])
-        .to_pandas()
-    )
+    ).to_pandas()
     res = {"day": agg["day"]}
     for ty in PIVOT_TYPES:
         res[f"n_{ty}"] = agg[f"n_{ty}"].astype(np.int64)
@@ -5511,7 +5497,7 @@ DISMAX_LEG_B = "window scan"
 DISMAX_TIE = 0.3
 
 
-def _bm25_scored_cte(terms: list[str], alias: str) -> str:
+def _bm25_score_cte(terms: list[str], alias: str) -> str:
     """A `{alias} (doc_id, score)` CTE body: closed-form BM25 for a
     fixed term list over `documents` (the _sql_bm25 core, reusable as a
     leg of a compound)."""
@@ -5566,8 +5552,8 @@ def q_dismax_topk(sf_dir: str):
 
 
 def _sql_dismax_topk() -> str:
-    a = _bm25_scored_cte(tokenize_text(DISMAX_LEG_A), "la")
-    b = _bm25_scored_cte(tokenize_text(DISMAX_LEG_B), "lb")
+    a = _bm25_score_cte(tokenize_text(DISMAX_LEG_A), "la")
+    b = _bm25_score_cte(tokenize_text(DISMAX_LEG_B), "lb")
     return f"""
 WITH toks AS (
   SELECT doc_id, unnest({TOK}) AS term FROM documents
@@ -5841,11 +5827,10 @@ def q_paragraph_dedup(sf_dir: str):
         ),
         "chunk", mark, num_parts=16,
     )
-    agg = (
+    agg = collect(
         marked.groupby("doc_id")
         .aggregate(Sum("cnt", alias_name="n_chunks"), Sum("dup", alias_name="n_dup"))
-        .to_pandas()
-    )
+    ).to_pandas()
     nc = agg["n_chunks"].to_numpy().astype(np.float64)
     nd = agg["n_dup"].to_numpy().astype(np.float64)
     return pd.DataFrame({
@@ -6059,12 +6044,11 @@ def q_hll_distinct(sf_dir: str):
         })
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    regs = (
+    regs = collect(
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "bucket"])
         .aggregate(Max("rho", alias_name="rho"))
-        .to_pandas()
-    )
+    ).to_pandas()
 
     # exact distinct per lang (vocab-bounded dedupe, then tiny count)
     def uniq(b: pa.Table) -> pa.Table:
@@ -6082,14 +6066,13 @@ def q_hll_distinct(sf_dir: str):
         )
         return pa.table({"lang": g["lang"], "n": g["count_all"].cast(pa.int64())})
 
-    exact = (
+    exact = collect(
         ds.map_batches(uniq, batch_format="pyarrow")
         .groupby(["lang", "term"])
         .aggregate(Count())
         .map_batches(lang_counts, batch_format="pyarrow")
         .groupby("lang").aggregate(Sum("n", alias_name="n_exact"))
-        .to_pandas().set_index("lang")["n_exact"].to_dict()
-    )
+    ).to_pandas().set_index("lang")["n_exact"].to_dict()
 
     out = []
     for lang, grp in regs.groupby("lang"):

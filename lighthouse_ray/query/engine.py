@@ -37,26 +37,16 @@ from ..analysis import tokenize_text
 from ..index import IndexReader
 from ..index.suggest import WeightedCompleter
 from ..util import top_k
+from .request import MEDIA_TYPES, AutocompleteRequest, SearchError, SearchRequest, msearch_item
 from .scoring import DenseResult, Scorer
 
 QUOTED_RE = re.compile(r'"([^"]*)"$')
-MEDIA_TYPES = ("audio", "video", "text", "application", "image")
 CAD_TYPES = ("SKP", "simplify3d_stl")
 CLAIM_TYPE_MAP = {"channel": "channel", "file": "stream"}
 TRUNCATE_AT = 300  # special.go:43-50
 EFFECTIVE_FACTOR = 19.0  # func_score.go:9
 
 DAY = 86400.0
-
-DERIVED_COLUMNS = ("claimId", "thumbnail_url", "channel", "title", "duration")
-RESOLVE_COLUMNS = [
-    "channel", "channel_claim_id", "title", "thumbnail_url", "release_time",
-    "fee", "nsfw", "duration",
-]
-
-
-class SearchError(ValueError):
-    """Request validation failure (HTTP 400 analog, search.go:56-63)."""
 
 
 class _TTLCache:
@@ -107,10 +97,8 @@ class SearchEngine:
         self.mlt_min_doc_freq = mlt_min_doc_freq
         self.mlt_max_terms = mlt_max_terms
         self._meta = reader.docmeta()
-        # per-column arrays for hit projection; derived claim fields
-        # (see _hit_column) follow the docmeta columns
+        # per-column arrays for hit projection (see _hit_column)
         self._cols = {c: self._meta[c].to_numpy() for c in self._meta.columns}
-        self._hit_columns = [*self._cols, *DERIVED_COLUMNS]
         self._decay_cache: np.ndarray | None = None
         self._boost_cache: np.ndarray | None = None
         self._bid_mask_cache: np.ndarray | None = None
@@ -126,69 +114,29 @@ class SearchEngine:
 
     # ------------------------------------------------------------------ search
 
-    def search(
-        self,
-        s: str | None = None,
-        size: int | None = None,
-        from_: int | None = None,
-        channel: str | None = None,
-        channel_id: str | None = None,
-        related_to: str | None = None,
-        sort_by: str | None = None,
-        include: str | None = None,
-        content_type: str | None = None,
-        media_type: str | None = None,
-        claim_type: str | None = None,
-        nsfw: bool | None = None,
-        free_only: bool | None = None,
-        resolve: bool = False,
-        claim_id: str | None = None,
-        source: bool = False,
-        debug: bool = False,
-        _partial: bool = False,
-    ) -> pd.DataFrame:
-        # validation (search.go:56-63, app/validator/validator.go)
-        if s is None or len(s) < 3 or len(s) > 99999:
-            raise SearchError("s is required with length in [3, 99999]")
-        if size is not None and size > 10000:
-            raise SearchError("size must be <= 10000")
-        if from_ is not None and from_ > 9999:
-            raise SearchError("from must be <= 9999")
-        if _partial:
-            # one range of a partitioned service: return the unpaged top
-            # from+size, which the coordinator merges and then pages
-            size, from_ = (from_ or 0) + (size if size is not None else 10), 0
-        if media_type is not None:
-            for t in media_type.split(","):
-                if t not in MEDIA_TYPES and t not in ("cad", ""):
-                    raise SearchError(f"invalid media type {t!r}")
-
-        s = s[:TRUNCATE_AT]                      # truncate (special.go:43-50)
-        s = self.special.get(s.lower(), s)       # taylored rewrites (special.go:5-41)
-
-        # request cache (search.go:117); debug requests bypass it
-        cache_key = (
-            s, size, from_, channel, channel_id, related_to, sort_by, include,
-            content_type, media_type, claim_type, nsfw, free_only, resolve,
-            claim_id, source,
-        )
-        if not debug and self._use_cache:
-            hit = self._cache.get(cache_key)
+    def search(self, request: SearchRequest | None = None, /, **kw) -> pd.DataFrame:
+        """/search for a :class:`SearchRequest`, or for the keyword
+        arguments that make one (validated there, before any work)."""
+        req = SearchRequest.of(request or kw)
+        # request cache (search.go:117), keyed by the request; debug
+        # requests bypass it
+        use_cache = self._use_cache and not req.debug
+        if use_cache:
+            hit = self._cache.get(req)
             if hit is not None:
                 return hit.copy()
+
+        s = req.s[:TRUNCATE_AT]                  # truncate (special.go:43-50)
+        s = self.special.get(s.lower(), s)       # taylored rewrites (special.go:5-41)
 
         n = self.r.n_docs
         meta = self._meta
 
-        fmask = self._filter_mask(
-            s=s, channel=channel, channel_id=channel_id, content_type=content_type,
-            media_type=media_type, claim_type=claim_type, nsfw=nsfw,
-            free_only=free_only, claim_id=claim_id, related_to=related_to,
-        )
+        fmask = self._filter_mask(s, req)
 
         explain_clauses = None
-        if related_to is not None:
-            base_scores, base_mask = self._related_scores(related_to)
+        if req.related_to is not None:
+            base_scores, base_mask = self._related_scores(req.related_to)
             decay = None
         else:
             # docs outside fmask are dropped at the AND below, so the
@@ -210,11 +158,9 @@ class SearchEngine:
             scores[ords] = base_scores[ords]
         else:
             scores[ords] = base_scores[ords] * decay[ords]
-        if sort_by is not None:
-            field = sort_by.lstrip("^")
-            ascending = sort_by.startswith("^")  # search.go:113-116
-            if field not in meta.columns:
-                raise SearchError(f"unknown sort field {field!r}")
+        if req.sort_by is not None:
+            field = req.sort_by.lstrip("^")
+            ascending = req.sort_by.startswith("^")  # search.go:113-116
             key = meta[field].to_numpy()[ords]
             doc_ids = meta["doc_id"].to_numpy()[ords]
             order = np.lexsort((doc_ids, key))  # (field, claimId) ascending
@@ -227,15 +173,11 @@ class SearchEngine:
             # Only the cut's survivors gather their doc_id strings:
             # lexsorting all of them costs ~100 ms at 1M candidates.
             doc_ids = meta["doc_id"].to_numpy()
-            need = (from_ or 0) + (size if size is not None else 10)
-            ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], need)]
+            ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], req.from_ + req.size)]
 
-        k_from = from_ or 0
-        k_size = size if size is not None else 10
-        page = ords[k_from : k_from + k_size]
-
-        out = self._project(page, scores, include, resolve, source, debug)
-        if debug and explain_clauses is not None:
+        page = ords[req.from_ : req.from_ + req.size]
+        out = self._project(page, scores, req.columns(), req.debug)
+        if req.debug and explain_clauses is not None:
             # ES Explain analog (search.go:103-112): per-clause score
             # contributions for the returned docs — the parity-debug tool
             out["explain"] = [
@@ -246,8 +188,8 @@ class SearchEngine:
                 }
                 for o in page
             ]
-        if not debug and self._use_cache:
-            self._cache.put(cache_key, out.copy())
+        if use_cache:
+            self._cache.put(req, out.copy())
         return out
 
     # -- clause assembly (query.go:21-71) --------------------------------------
@@ -381,10 +323,8 @@ class SearchEngine:
 
     # -- filters (query.go:258-410) ---------------------------------------------
 
-    def _filter_mask(
-        self, s: str, channel, channel_id, content_type, media_type,
-        claim_type, nsfw, free_only, claim_id, related_to,
-    ) -> np.ndarray:
+    def _filter_mask(self, s: str, req: SearchRequest) -> np.ndarray:
+        """The non-scoring filter of ``req``; ``s`` is its rewritten query."""
         meta = self._meta
         n = self.r.n_docs
         # bid_state must_not Expired (query.go:386-388); expired docs are
@@ -404,19 +344,19 @@ class SearchEngine:
                     any_hit |= self.scorer.phrase(f, qt).mask
             mask &= any_hit
 
-        if nsfw is not None:
+        if req.nsfw is not None:
             col = meta["nsfw"].to_numpy().astype(bool)
-            mask &= col if nsfw else ~col
+            mask &= col if req.nsfw else ~col
 
-        if free_only:
+        if req.free_only:
             mask &= meta["fee"].to_numpy() == 0
 
-        if content_type is not None:
-            allowed = set(content_type.split(","))
+        if req.content_type is not None:
+            allowed = set(req.content_type.split(","))
             mask &= np.isin(meta["mime"].to_numpy(), list(allowed))
 
-        if media_type is not None:
-            mtypes = [t for t in media_type.split(",") if t]
+        if req.media_type is not None:
+            mtypes = [t for t in req.media_type.split(",") if t]
             any_hit = np.zeros(n, dtype=bool)
             valid = False
             mime = meta["mime"].to_numpy()
@@ -429,39 +369,29 @@ class SearchEngine:
                     any_hit |= np.isin(mime, list(CAD_TYPES))
             mask &= any_hit if valid else np.zeros(n, dtype=bool)  # match_none
 
-        if claim_type is not None:
-            mapped = CLAIM_TYPE_MAP.get(claim_type)
+        if req.claim_type is not None:
+            mapped = CLAIM_TYPE_MAP.get(req.claim_type)
             if mapped:
                 mask &= self._is_channel if mapped == "channel" else ~self._is_channel
 
-        if channel_id is not None:
-            mask &= meta["channel_claim_id"].to_numpy() == channel_id
+        if req.channel_id is not None:
+            mask &= meta["channel_claim_id"].to_numpy() == req.channel_id
 
-        if channel is not None:
-            cterms = tokenize_text(channel)
+        if req.channel is not None:
+            cterms = tokenize_text(req.channel)
             mask &= self.scorer.match("channel", cterms).mask
 
-        if claim_id is not None:
-            mask &= meta["doc_id"].to_numpy() == claim_id
+        if req.claim_id is not None:
+            mask &= meta["doc_id"].to_numpy() == req.claim_id
 
-        if related_to is not None:
+        if req.related_to is not None:
             mask &= ~self._is_channel  # relatedContentFilter
 
         return mask
 
     # -- projection (search.go:79-91) --------------------------------------------
 
-    def _project(self, ords: np.ndarray, scores: np.ndarray, include, resolve, source, debug) -> pd.DataFrame:
-        cols = ["name", "claimId"]
-        if include:
-            cols += [c for c in include.split(",") if c]
-        if resolve:
-            cols += [c for c in RESOLVE_COLUMNS if c not in cols]
-        if source:
-            cols = [c for c in self._hit_columns if c != "content"]
-        missing = [c for c in cols if c not in self._hit_columns]
-        if missing:
-            raise SearchError(f"unknown include fields {missing}")
+    def _project(self, ords: np.ndarray, scores: np.ndarray, cols: list[str], debug: bool) -> pd.DataFrame:
         # gather only the requested columns, by position so a column
         # named twice (include=claimId,name) stays two columns
         out = pd.DataFrame(
@@ -510,20 +440,13 @@ class SearchEngine:
 
     # ------------------------------------------------------------ msearch
 
-    def msearch(self, requests: list[dict]) -> list[dict]:
+    def msearch(self, requests: list) -> list[dict]:
         """ES ``_msearch`` analog at the engine level: run each request
-        in turn, isolating failures per item (``SearchService.msearch``
-        puts every request in flight on the replica grid first, with the
-        same per-item statuses)."""
-        out: list[dict] = []
-        for req in requests:
-            try:
-                out.append({"status": 200, "hits": self.search(**req)})
-            except SearchError as e:
-                out.append({"status": 400, "error": str(e)})
-            except Exception as e:  # noqa: BLE001 — per-item isolation
-                out.append({"status": 500, "error": str(e)})
-        return out
+        (a :class:`SearchRequest` or its keyword dict) in turn, isolating
+        failures per item (``SearchService.msearch`` puts every request
+        in flight on the replica grid first, with the same per-item
+        statuses)."""
+        return [msearch_item(lambda r=r: self.search(SearchRequest.of(r))) for r in requests]
 
     # ------------------------------------------------------------ suggest
 
@@ -554,34 +477,30 @@ class SearchEngine:
 
     # ------------------------------------------------------------ autocomplete
 
-    def autocomplete(
-        self,
-        s: str | None = None,
-        size: int | None = None,
-        from_: int | None = None,
-        nsfw: bool | None = None,
-        _scored: bool = False,
-    ) -> list[str] | tuple[list, list, list]:
-        """/autocomplete (app/actions/auto_complete.go): returns an
-        order-preserving first-occurrence-deduped list of names."""
-        if not s:
-            raise SearchError("s is required")
-        if size is not None and size > 10000:
-            raise SearchError("size must be <= 10000")
-        if from_ is not None and from_ > 9999:
-            raise SearchError("from must be <= 9999")
-
-        ac_key = (s, size, from_, nsfw)
-        if self._use_cache and not _scored:
-            hit = self._ac_cache.get(ac_key)
+    def autocomplete(self, request: AutocompleteRequest | None = None, /, **kw) -> list[str]:
+        """/autocomplete (app/actions/auto_complete.go) for an
+        :class:`AutocompleteRequest` or its keyword arguments: the page
+        of names, deduplicated by first occurrence."""
+        req = AutocompleteRequest.of(request or kw)
+        if self._use_cache:
+            hit = self._ac_cache.get(req)
             if hit is not None:
                 return list(hit)
+        # page on the globally-sorted candidates, THEN ordered-dedup the
+        # page (auto_complete.go:126-131)
+        out = first_names(self.autocomplete_ranked(req)["name"].to_numpy()[req.from_ :])
+        if self._use_cache:
+            self._ac_cache.put(req, list(out))
+        return out
 
+    def autocomplete_ranked(self, req: AutocompleteRequest) -> pd.DataFrame:
+        """The top from+size /autocomplete candidates in rank order,
+        unpaged and not deduplicated: ``name, score, claimId``, the
+        rows a partitioned service merges across ranges."""
         n = self.r.n_docs
         meta = self._meta
         sc = self.scorer
-        scores = np.zeros(n)
-        mask = np.zeros(n, dtype=bool)
+        s = req.s
 
         if s.startswith("@"):
             terms = tokenize_text(s)
@@ -605,36 +524,19 @@ class SearchEngine:
                 np.maximum(r2a.gathered(idx), r2b.gathered(idx)), r2c.gathered(idx)
             )
 
-        if nsfw is not None:
+        if req.nsfw is not None:
             col = meta["nsfw"].to_numpy().astype(bool)
-            mask &= col if nsfw else ~col
+            mask &= col if req.nsfw else ~col
             # scores outside the mask are never read (ords come from mask)
 
         ords = np.flatnonzero(mask)
         doc_ids = meta["doc_id"].to_numpy()
-        k_from = from_ or 0
-        k_size = size if size is not None else 10
-        ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], k_from + k_size)]
+        ords = ords[top_k(scores[ords], lambda p: doc_ids[ords[p]], req.from_ + req.size)]
+        return pd.DataFrame(
+            {"name": meta["name"].to_numpy()[ords], "score": scores[ords], "claimId": doc_ids[ords]}
+        )
 
-        # page on the globally-sorted candidates, THEN ordered-dedup the
-        # page (auto_complete.go:126-131)
-        page = ords[k_from : k_from + k_size]
-        names = meta["name"].to_numpy()[page]
-        seen: set[str] = set()
-        out: list[str] = []
-        for nm in names:
-            if nm not in seen:
-                seen.add(nm)
-                out.append(nm)
-        if not _scored:
-            self._ac_cache.put(ac_key, list(out))
-        if _scored:
-            # partial-result mode for the range-partitioned coordinator:
-            # this range's top (from+size) candidates with merge keys
-            top = ords[: k_from + k_size]
-            return (
-                meta["name"].to_numpy()[top].tolist(),
-                scores[top].tolist(),
-                doc_ids[top].tolist(),
-            )
-        return out
+
+def first_names(names) -> list[str]:
+    """``names`` in order, each kept at its first occurrence."""
+    return list(dict.fromkeys(names))

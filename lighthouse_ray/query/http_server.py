@@ -11,8 +11,10 @@ and ``{"error": ...}`` with HTTP 400 on validation failures
 Request parameters follow app/actions/search/search.go:26-49 —
 ``s size from channel channel_id related_to sort_by include
 contentType mediaType claimType nsfw free_only resolve claim_id score
-source debug`` (camelCase aliases accepted) — validation itself lives
-in the engine (engine.search mirrors search.go:56-63).
+source debug`` (camelCase aliases accepted).  GET query strings and
+``/msearch`` lines are parsed and validated by the one request contract
+in :mod:`.request` (search.go:56-63), before the request reaches the
+replica grid.
 
 The handler is a thin stdlib ``ThreadingHTTPServer`` over
 :class:`.serving.SearchService`, a partitions × replicas grid of warm
@@ -29,7 +31,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .engine import SearchError
+from .request import AutocompleteRequest, SearchError, SearchRequest
 
 # app/app.go:71-79
 RESPONSE_HEADERS = {
@@ -89,51 +91,19 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
-def _one(q: dict, *names: str) -> str | None:
-    for n in names:
-        v = q.get(n)
-        if v:
-            return v[0]
-    return None
+def _records(df, req: SearchRequest) -> list[dict]:
+    """Hits as JSON records, with the score column only when ``score``
+    or ``debug`` asks for it."""
+    if not (req.score or req.debug) and "score" in df.columns:
+        df = df.drop(columns=["score"])
+    return df.to_dict(orient="records")
 
 
-def _boolp(q: dict, *names: str) -> bool | None:
-    v = _one(q, *names)
-    if v is None:
-        return None
-    return v.lower() in ("1", "true", "yes", "on", "")
-
-
-def _intp(q: dict, *names: str) -> int | None:
-    v = _one(q, *names)
-    if v is None:
-        return None
-    try:
-        return int(v)
-    except ValueError as e:
-        raise SearchError(f"invalid integer for {names[0]}: {v!r}") from e
-
-
-def _search_kwargs(q: dict) -> dict:
-    return dict(
-        s=_one(q, "s"),
-        size=_intp(q, "size"),
-        from_=_intp(q, "from"),
-        channel=_one(q, "channel"),
-        channel_id=_one(q, "channel_id", "channelID", "channelId"),
-        related_to=_one(q, "related_to", "relatedTo"),
-        sort_by=_one(q, "sort_by", "sortBy"),
-        include=_one(q, "include"),
-        content_type=_one(q, "contentType", "content_type"),
-        media_type=_one(q, "mediaType", "media_type"),
-        claim_type=_one(q, "claimType", "claim_type"),
-        nsfw=_boolp(q, "nsfw"),
-        free_only=_boolp(q, "free_only", "freeOnly"),
-        resolve=bool(_boolp(q, "resolve")),
-        claim_id=_one(q, "claim_id", "claimID", "claimId"),
-        source=bool(_boolp(q, "source")),
-        debug=bool(_boolp(q, "debug")),
-    )
+def _served(item: dict, req: SearchRequest) -> dict:
+    """One msearch response item, its hits as :func:`_records`."""
+    if item["status"] != 200:
+        return item
+    return {"status": 200, "hits": _records(item["hits"], req)}
 
 
 def make_handler(service, metrics: Metrics):
@@ -166,7 +136,8 @@ def make_handler(service, metrics: Metrics):
             body, one JSON object of /search query params per line (ES
             header lines — empty objects or index/preference-only — are
             accepted and skipped); responds ``{"responses": [...]}`` with
-            per-item status/error isolation, exactly the ES shape."""
+            per-item status/error isolation, exactly the ES shape.  A
+            line that is not a valid request is its own 400 item."""
             start = time.monotonic()
             path = urlparse(self.path).path
             error = False
@@ -182,7 +153,7 @@ def make_handler(service, metrics: Metrics):
                     self.close_connection = True
                     raise SearchError(f"invalid Content-Length {length!r}")
                 body = self.rfile.read(int(length)).decode("utf-8", "replace")
-                reqs = []
+                items = []
                 for line in body.splitlines():
                     line = line.strip()
                     if not line:
@@ -192,24 +163,16 @@ def make_handler(service, metrics: Metrics):
                         raise SearchError("msearch lines must be JSON objects")
                     if not obj or set(obj) <= {"index", "preference"}:
                         continue  # ES-style header line
-                    reqs.append(obj)
-                if not reqs:
+                    try:
+                        items.append(SearchRequest.parse(obj))
+                    except SearchError as e:
+                        items.append({"status": 400, "error": str(e)})
+                if not items:
                     raise SearchError("msearch body has no request lines")
-                kw = [_search_kwargs({k: [str(v)] for k, v in r.items()
-                                      if v is not None}) for r in reqs]
-                responses = []
-                for item, r in zip(service.msearch(kw), reqs):
-                    if item["status"] == 200:
-                        df = item["hits"]
-                        want_score = str(r.get("score", "")).lower() in (
-                            "1", "true", "yes") or str(r.get("debug", "")).lower() in (
-                            "1", "true", "yes")
-                        if not want_score and "score" in df.columns:
-                            df = df.drop(columns=["score"])
-                        responses.append({"status": 200,
-                                          "hits": df.to_dict(orient="records")})
-                    else:
-                        responses.append(item)
+                served = iter(service.msearch(
+                    [r for r in items if isinstance(r, SearchRequest)]))
+                responses = [r if isinstance(r, dict) else _served(next(served), r)
+                             for r in items]
                 self._send(200, {"responses": responses})
             except (json.JSONDecodeError, SearchError) as e:
                 error = True
@@ -232,20 +195,10 @@ def make_handler(service, metrics: Metrics):
                 elif path == "/test":
                     self._send(200, "ok")  # default.go:20
                 elif path == "/search":
-                    kwargs = _search_kwargs(q)
-                    want_score = bool(_boolp(q, "score")) or kwargs["debug"]
-                    df = service.search(**kwargs)
-                    if not want_score and "score" in df.columns:
-                        df = df.drop(columns=["score"])
-                    self._send(200, df.to_dict(orient="records"))
+                    req = SearchRequest.parse(q)
+                    self._send(200, _records(service.search(req), req))
                 elif path == "/autocomplete":
-                    names = service.autocomplete(
-                        s=_one(q, "s"),
-                        size=_intp(q, "size"),
-                        from_=_intp(q, "from"),
-                        nsfw=_boolp(q, "nsfw"),
-                    )
-                    self._send(200, names)
+                    self._send(200, service.autocomplete(AutocompleteRequest.parse(q)))
                 elif path == "/status":
                     self._send(200, service.status())
                 elif path == "/metrics":

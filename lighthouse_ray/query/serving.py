@@ -34,7 +34,8 @@ import pandas as pd
 import ray
 
 from ..util import top_k
-from .engine import SearchError
+from .engine import first_names
+from .request import AutocompleteRequest, SearchRequest, msearch_item
 
 # straggler hedging (K > 1, R >= 2): once the quorum of ranges has
 # answered, laggards get this multiple of the elapsed time (at least
@@ -70,27 +71,40 @@ class SearchReplica:
         self.engine.r.prewarm()
         self._delay = debug_delay_s
 
-    def search(self, **kwargs):
+    def search(self, req: SearchRequest):
         if self._delay:
             time.sleep(self._delay)
-        return self.engine.search(**kwargs)
+        return self.engine.search(req)
 
-    def autocomplete(self, **kwargs):
-        return self.engine.autocomplete(**kwargs)
+    def autocomplete(self, req: AutocompleteRequest):
+        return self.engine.autocomplete(req)
+
+    def autocomplete_ranked(self, req: AutocompleteRequest):
+        return self.engine.autocomplete_ranked(req)
 
     def status(self):
         return self.engine.status()
 
 
-def _get(refs):
-    """``ray.get`` that re-raises a replica's :class:`SearchError` as
-    itself (the request's own validation failure, not a server fault)."""
-    try:
-        return ray.get(refs)
-    except ray.exceptions.RayTaskError as e:
-        if isinstance(e.cause, SearchError):
-            raise e.cause from None
-        raise
+def _merge(req: SearchRequest, part: SearchRequest, frames: list) -> pd.DataFrame:
+    """``req``'s page of the K ranges' answers to ``part``, its
+    :meth:`~SearchRequest.for_partition` form.  Columns are read by
+    position, since a request may project one name twice."""
+    df = pd.concat(frames, ignore_index=True)
+    cols = part.columns()
+    ids = df.iloc[:, cols.index("claimId")].to_numpy()
+    if req.sort_by is None:
+        order = top_k(df["score"].to_numpy(), ids, req.from_ + req.size)
+    else:
+        field = req.sort_by.lstrip("^")
+        key = cols.index(field) if field in cols else df.columns.get_loc(field)  # debug's ordinal
+        order = np.lexsort((ids, df.iloc[:, key].to_numpy()))  # (field, claimId) asc
+        if not req.sort_by.startswith("^"):
+            order = order[::-1]
+    df = df.iloc[order[req.from_ : req.from_ + req.size]].reset_index(drop=True)
+    if len(cols) > len(req.columns()):  # drop the sort field added for the merge
+        df = df.iloc[:, [i for i in range(df.shape[1]) if i != key]]
+    return df
 
 
 class SearchService:
@@ -132,124 +146,78 @@ class SearchService:
         k = self.num_partitions
         return self.replicas[row * k : (row + 1) * k]
 
-    def _gather(self, row: int, futs: list, call: dict) -> list:
+    def _gather(self, row: int, futs: list, part: SearchRequest) -> list:
         """All K partial results of ``row``, racing stragglers against
         the next row's replica of the same range when there is one."""
         if self.num_replicas < 2:
-            return _get(futs)
+            return ray.get(futs)
         t0 = time.monotonic()
         quorum = max(1, len(futs) - max(1, len(futs) // 4))
         ray.wait(list(futs), num_returns=quorum)
         grace = max(HEDGE_MIN_S, (time.monotonic() - t0) * HEDGE_FACTOR)
         _done, pending = ray.wait(list(futs), num_returns=len(futs), timeout=grace)
         if not pending:
-            return _get(futs)
+            return ray.get(futs)
         standby = self._cells((row + 1) % self.num_replicas)
         idx_of = {f: i for i, f in enumerate(futs)}
         winners = list(futs)
         for f in pending:
             i = idx_of[f]
-            hedged = standby[i].search.remote(**call)
+            hedged = standby[i].search.remote(part)
             first, _rest = ray.wait([f, hedged], num_returns=1)
             winners[i] = first[0]  # the loser's result is discarded
-        return _get(winners)
+        return ray.get(winners)
 
     # -- /search ------------------------------------------------------------
 
-    def _start_search(self, kwargs: dict) -> tuple:
+    def _start_search(self, req: SearchRequest):
         """Put one request in flight on a round-robin row; returns the
-        state :meth:`_finish_search` gathers — split so :meth:`msearch`
-        can start EVERY request before gathering any."""
+        function that gathers its answer — split so :meth:`msearch` can
+        start EVERY request before gathering any."""
         row = self._row()
         cells = self._cells(row)
         if self.num_partitions == 1:
-            return row, [cells[0].search.remote(**kwargs)], kwargs, None
-        # each range returns its unpaged top from+size; the merge needs
-        # the sort key column, so inject it into include and strip it
-        # afterwards if the caller didn't ask for it
-        call = dict(kwargs, _partial=True)
-        sort_by, include = kwargs.get("sort_by"), kwargs.get("include")
-        inject = None
-        if sort_by is not None:
-            field = sort_by.lstrip("^")
-            inc_list = [c for c in (include.split(",") if include else []) if c]
-            if field not in inc_list and field not in ("name", "claimId"):
-                inject = field
-                call["include"] = ",".join(inc_list + [field])
-        return row, [r.search.remote(**call) for r in cells], call, inject
+            fut = cells[0].search.remote(req)
+            return lambda: ray.get(fut)
+        # each range answers the unpaged top from+size, with the sort
+        # field among its columns for the merge
+        part = req.for_partition()
+        futs = [r.search.remote(part) for r in cells]
+        return lambda: _merge(req, part, self._gather(row, futs, part))
 
-    def _finish_search(self, row: int, futs: list, call: dict,
-                       inject: str | None) -> pd.DataFrame:
-        if self.num_partitions == 1:
-            return _get(futs[0])
-        df = pd.concat(self._gather(row, futs, call), ignore_index=True)
-        sort_by = call.get("sort_by")
-        if len(df):
-            k_from = call.get("from_") or 0
-            size = call.get("size")
-            k_size = size if size is not None else 10
-            if sort_by is not None:
-                field = sort_by.lstrip("^")
-                order = np.lexsort(
-                    (df["claimId"].to_numpy(), df[field].to_numpy())
-                )  # (field, claimId) asc — engine.py:192
-                if not sort_by.startswith("^"):
-                    order = order[::-1]
-            else:
-                order = top_k(df["score"].to_numpy(), df["claimId"].to_numpy(),
-                              k_from + k_size)
-            df = df.iloc[order[k_from : k_from + k_size]].reset_index(drop=True)
-        if inject is not None and inject in df.columns:
-            df = df.drop(columns=[inject])
-        return df
+    def search(self, request: SearchRequest | None = None, /, **kw) -> pd.DataFrame:
+        return self._start_search(SearchRequest.of(request or kw))()
 
-    def search(self, **kwargs) -> pd.DataFrame:
-        return self._finish_search(*self._start_search(kwargs))
-
-    def msearch(self, requests: list[dict]) -> list[dict]:
-        """ES ``_msearch`` analog: every request is in flight before any
-        is gathered, and each item is isolated like ES's per-item
-        ``responses`` array — one bad request yields its own 400 (or
-        500) entry without failing the batch."""
-        started = [self._start_search(req) for req in requests]
-        out: list[dict] = []
-        for st in started:
-            try:
-                out.append({"status": 200, "hits": self._finish_search(*st)})
-            except SearchError as e:
-                out.append({"status": 400, "error": str(e)})
-            except Exception as e:  # noqa: BLE001 — per-item isolation
-                out.append({"status": 500, "error": str(e)})
-        return out
+    def msearch(self, requests: list) -> list[dict]:
+        """ES ``_msearch`` analog: every request (a :class:`SearchRequest`
+        or its keyword dict) is in flight before any is gathered, and
+        each item is isolated like ES's per-item ``responses`` array —
+        one bad request yields its own 400 (or 500) entry without
+        failing the batch."""
+        # an item whose request is invalid keeps its 400 here; each
+        # other item holds the function that gathers its hits
+        started = [msearch_item(lambda r=r: self._start_search(SearchRequest.of(r)))
+                   for r in requests]
+        return [msearch_item(item["hits"]) if item["status"] == 200 else item
+                for item in started]
 
     # -- /autocomplete ------------------------------------------------------
 
-    def autocomplete(self, s: str | None = None, size: int | None = None,
-                     from_: int | None = None, nsfw: bool | None = None) -> list[str]:
-        kw = dict(s=s, size=size, from_=from_, nsfw=nsfw)
+    def autocomplete(self, request: AutocompleteRequest | None = None, /, **kw) -> list[str]:
+        req = AutocompleteRequest.of(request or kw)
         cells = self._cells(self._row())
         if self.num_partitions == 1:
-            return _get(cells[0].autocomplete.remote(**kw))
-        parts = _get([r.autocomplete.remote(_scored=True, **kw) for r in cells])
-        names = [n for p in parts for n in p[0]]
-        scores = np.asarray([v for p in parts for v in p[1]], dtype=np.float64)
-        doc_ids = np.asarray([d for p in parts for d in p[2]], dtype=object)
-        k_from = from_ or 0
-        k_size = size if size is not None else 10
-        order = top_k(scores, doc_ids, k_from + k_size)
-        seen: set[str] = set()
-        out: list[str] = []
-        for i in order[k_from:]:
-            nm = names[int(i)]
-            if nm not in seen:  # ordered dedup (auto_complete.go:126-131)
-                seen.add(nm)
-                out.append(nm)
-        return out
+            return ray.get(cells[0].autocomplete.remote(req))
+        top = pd.concat(ray.get([r.autocomplete_ranked.remote(req) for r in cells]),
+                        ignore_index=True)
+        order = top_k(top["score"].to_numpy(), top["claimId"].to_numpy(), req.from_ + req.size)
+        # ordered dedup of the page (auto_complete.go:126-131)
+        return first_names(top["name"].to_numpy()[order[req.from_ :]])
 
     # -- /status ------------------------------------------------------------
 
     def status(self):
-        return _get(self._cells(self._row())[0].status.remote())
+        return ray.get(self._cells(self._row())[0].status.remote())
 
     def shutdown(self):
         """Kill every replica and return once each is dead.  ``ray.kill``

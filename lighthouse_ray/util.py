@@ -1,5 +1,5 @@
 """Small shared helpers (stable hashing, md5 of a column, the top-k cut,
-atomic writes, the spill writer)."""
+collecting a Dataset, atomic writes, the spill writer)."""
 
 from __future__ import annotations
 
@@ -92,6 +92,39 @@ def top_k(scores, ids, k: int | None = None) -> np.ndarray:
             return keep[np.lexsort((cut, neg[keep]))[:k]]
     every = ids(np.arange(n)) if callable(ids) else ids
     return np.lexsort((every, neg))[:k]
+
+
+def collect(ds) -> pa.Table:
+    """Run the Ray Dataset ``ds`` and return its rows as one Arrow table.
+
+    The one place a result crosses the Ray boundary:
+    - a zero-row result keeps its columns, ``ds.schema()``'s, where
+      ``Dataset.to_pandas()`` has none (Ray's batcher skips empty
+      blocks);
+    - a map task's ``ValueError``, the documented error of the library's
+      stages, reaches the caller as itself, not as Ray's
+      ``RayTaskError(UserCodeException)``."""
+    import ray
+
+    ctx = ds.context
+    saved, ctx.raise_original_map_exception = ctx.raise_original_map_exception, True
+    try:
+        ds = ds.materialize()
+        tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    except ray.exceptions.RayTaskError as e:
+        if isinstance(e.cause, ValueError):
+            raise e.cause from None
+        raise
+    finally:
+        ctx.raise_original_map_exception = saved
+    if tables:
+        return pa.concat_tables(tables, promote_options="permissive")
+    schema = ds.schema()
+    if schema is None:  # nothing ran that could name the columns
+        return pa.table({})
+    # a pandas block's object column has no Arrow type yet: null
+    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.null())
+                      for n, t in zip(schema.names, schema.types)]).empty_table()
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

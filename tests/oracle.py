@@ -424,7 +424,7 @@ def project_reference(meta, ords, scores, include, resolve, source, debug):
     then keep the requested ones (search.go:79-91)."""
     import numpy as np
 
-    from lighthouse_ray.query.engine import RESOLVE_COLUMNS, SearchError
+    from lighthouse_ray.query.request import RESOLVE_COLUMNS, SearchError
 
     rows = meta.iloc[ords].copy()
     rows["claimId"] = rows["doc_id"]

@@ -127,6 +127,11 @@ def test_validation_errors(engine):
         engine.search(s="abc", media_type="bogus")
     with pytest.raises(SearchError):
         engine.autocomplete(s="")
+    for kw in (dict(from_=-5), dict(from_=-2, size=5), dict(size=-1)):
+        with pytest.raises(SearchError):
+            engine.search(s="the function", **kw)
+        with pytest.raises(SearchError):
+            engine.autocomplete(s="the", **kw)
 
 
 AC_CASES = [
@@ -204,6 +209,7 @@ def test_project_matches_pandas_reference(engine):
     import json
 
     from lighthouse_ray.query import SearchError
+    from lighthouse_ray.query.request import SearchRequest
 
     meta = engine._meta
     n = len(meta)
@@ -217,8 +223,9 @@ def test_project_matches_pandas_reference(engine):
             return f"SearchError: {e}"
 
     def new(ords, kw):
-        return engine._project(ords, scores, kw.get("include"), kw.get("resolve", False),
-                               kw.get("source", False), kw.get("debug", False))
+        # the request validates and lists the columns; _project gathers them
+        req = SearchRequest(s="abc", **kw)
+        return engine._project(ords, scores, req.columns(), req.debug)
 
     def ref(ords, kw):
         return project_reference(meta, ords, scores, kw.get("include"),

@@ -201,6 +201,23 @@ def test_neardup_empty_results_keep_pair_schema(ray_session, tmp_path):
     assert probe.count() == 0 and schema_of(probe) == want
 
 
+def test_collect_keeps_empty_pair_columns(ray_session):
+    """``collect`` of a near-dup run that finds no pair is a zero-row
+    table with the typed pair columns, where ``to_pandas()`` has none."""
+    import ray.data as rd
+
+    from lighthouse_ray.functions.dedup import minhash_dedup_pairs
+    from lighthouse_ray.util import collect
+
+    none = minhash_dedup_pairs(rd.from_arrow(_docs_table([BASE, OTHER])), threshold=0.3, k=3)
+    got = collect(none)
+    assert got.num_rows == 0
+    assert got.schema == pa.schema(
+        [("a", pa.int64()), ("b", pa.int64()), ("inter", pa.int64()), ("jaccard", pa.float64())]
+    )
+    assert list(got.to_pandas().columns) == ["a", "b", "inter", "jaccard"]
+
+
 def test_simhash_near_dup(ray_session):
     import ray.data as rd
 
@@ -376,13 +393,13 @@ def test_multimodal_stage(ray_session):
     """Distributed decode over genuinely valid synthesized images; a
     payload no decoder understands fails the stage with ValueError."""
     import ray.data as rd
-    from ray.data import DataContext
 
     from lighthouse_ray.functions.multimodal import (
         extract_media_meta,
         synth_bmp,
         synth_png,
     )
+    from lighthouse_ray.util import collect
 
     t = pa.table(
         {
@@ -404,14 +421,9 @@ def test_multimodal_stage(ray_session):
         "media_id": pa.array(["x"], type=pa.string()),
         "payload": pa.array([b"not an image"], type=pa.large_binary()),
     })
-    # Ray wraps a map task's error unless told to raise the original
-    ctx = DataContext.get_current()
-    saved, ctx.raise_original_map_exception = ctx.raise_original_map_exception, True
-    try:
-        with pytest.raises(ValueError, match="unrecognized image container"):
-            extract_media_meta(rd.from_arrow(junk)).materialize()
-    finally:
-        ctx.raise_original_map_exception = saved
+    # collect hands the decoder's ValueError over as itself
+    with pytest.raises(ValueError, match="unrecognized image container"):
+        collect(extract_media_meta(rd.from_arrow(junk)))
 
 
 def test_connected_components_vs_bfs(ray_session):

@@ -120,6 +120,7 @@ def test_msearch_bulk_endpoint(server):
         json.dumps({"s": "import", "size": 3}),
         json.dumps({"s": "merge segment", "size": 2, "score": True}),
         json.dumps({"size": 5}),                # invalid: s is required
+        json.dumps({"s": "import", "size": "ten"}),  # invalid: not an integer
     ])
     req = urllib.request.Request(
         f"http://127.0.0.1:{srv.port}/msearch",
@@ -130,12 +131,13 @@ def test_msearch_bulk_endpoint(server):
     with urllib.request.urlopen(req, timeout=60) as r:
         out = json.loads(r.read())
     rs = out["responses"]
-    assert len(rs) == 3
+    assert len(rs) == 4
     assert rs[0]["status"] == 200 and len(rs[0]["hits"]) == 3
     assert rs[1]["status"] == 200 and len(rs[1]["hits"]) == 2
     assert all("score" in h for h in rs[1]["hits"])      # score=True kept
     assert all("score" not in h for h in rs[0]["hits"])  # default dropped
     assert rs[2]["status"] == 400 and "required" in rs[2]["error"]
+    assert rs[3] == {"status": 400, "error": "invalid integer for size: 'ten'"}
 
     # parity with the single-search route
     single = json.loads(urllib.request.urlopen(

@@ -90,18 +90,30 @@ def test_gif_decode():
     assert decode_image(_INDEPENDENT_GIF)[3] == "gif"
 
 
+# SOI, APP0, DQT (dummy), SOF0 with height=31 width=77 3 components
+_JPEG_HEADER = (
+    b"\xff\xd8"                                      # SOI
+    b"\xff\xe0\x00\x10JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"  # APP0
+    b"\xff\xdb\x00\x05\x00\x01\x02\x03"              # DQT (dummy)
+    b"\xff\xc0\x00\x11\x08" + struct.pack(">HH", 31, 77) + b"\x03"
+    b"\x01\x22\x00\x02\x11\x01\x03\x11\x01"          # 3 components
+)
+# one scan: SOS, entropy-coded bytes with a stuffed FF00 and a restart
+# marker, then fill bytes before EOI
+_JPEG = _JPEG_HEADER + (
+    b"\xff\xda\x00\x0c\x03\x01\x00\x02\x11\x03\x11\x00\x3f\x00"  # SOS
+    b"\x12\x34\xff\x00\x56\xff\xd0\x78\xff\xff\xd9"      # scan data, RST0, EOI
+)
+
+
 def test_jpeg_sof_parse():
-    """Minimal marker stream: SOI, APP0, DQT (skipped), SOF0 with
-    height=31 width=77 3 components."""
-    jpg = (
-        b"\xff\xd8"                                      # SOI
-        b"\xff\xe0\x00\x10JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"  # APP0
-        b"\xff\xdb\x00\x05\x00\x01\x02\x03"              # DQT (dummy)
-        b"\xff\xc0\x00\x11\x08" + struct.pack(">HH", 31, 77) + b"\x03"
-        b"\x01\x22\x00\x02\x11\x01\x03\x11\x01"          # 3 components
-    )
-    assert decode_jpeg(jpg) == (77, 31, 3)
-    assert decode_image(jpg) == (77, 31, 3, "jpeg")
+    """A full SOI...EOI stream decodes; one cut after its frame header,
+    inside its scan or before its EOI raises ValueError."""
+    assert decode_jpeg(_JPEG) == (77, 31, 3)
+    assert decode_image(_JPEG) == (77, 31, 3, "jpeg")
+    for cut in (_JPEG_HEADER, _JPEG[:-9], _JPEG[:-2], _JPEG[:-1]):
+        with pytest.raises(ValueError):
+            decode_jpeg(cut)
 
 
 def test_bmp_negative_height_topdown():
@@ -318,18 +330,14 @@ def test_synth_sweep_raises_only_valueerror(kind):
 
 def test_jpeg_fuzz_truncations_and_corruptions_raise_only_valueerror():
     """Every truncation and every single-byte corruption of a baseline
-    JPEG header stream either decodes or raises ValueError — never a
-    ``struct.error``/``IndexError`` from reading past the payload."""
-    jpg = (
-        b"\xff\xd8"                                      # SOI
-        b"\xff\xe0\x00\x10JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"  # APP0
-        b"\xff\xdb\x00\x05\x00\x01\x02\x03"              # DQT (dummy)
-        b"\xff\xc0\x00\x11\x08" + struct.pack(">HH", 31, 77) + b"\x03"
-        b"\x01\x22\x00\x02\x11\x01\x03\x11\x01"          # SOF0, 3 components
-        b"\xff\xda\x00\x0c\x03\x01\x00\x02\x11\x03\x11\x00\x3f\x00"  # SOS
-        b"\x12\x34\xff\x00\x56\xff\xd9"                  # scan data, EOI
-    )
+    SOI...EOI JPEG either decodes or raises ValueError — never a
+    ``struct.error``/``IndexError`` from reading past the payload — and
+    every truncation raises."""
+    jpg = _JPEG
     assert decode_jpeg(jpg) == (77, 31, 3)
+    for i in range(len(jpg)):
+        with pytest.raises(ValueError):
+            decode_jpeg(jpg[:i])
     for payload in (b"\xff\xd8\xff\xc0\x00\x11", b"\xff\xd8\xff\xc0\x00\x11\x08\x00"):
         with pytest.raises(ValueError):
             decode_jpeg(payload)

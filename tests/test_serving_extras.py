@@ -25,11 +25,12 @@ def built(ray_session, tmp_path_factory):
 
 def test_query_cache_hit_and_ttl(built):
     from lighthouse_ray.query.engine import _TTLCache
+    from lighthouse_ray.query.request import SearchRequest
 
     _idx, e = built
     a = e.search(s="merge segment", size=5)
-    assert e._cache.get(("merge segment", 5, None, None, None, None, None, None,
-                        None, None, None, None, None, False, None, False)) is not None
+    # the request is the key; score is no part of it
+    assert e._cache.get(SearchRequest(s="merge segment", size=5, score=True)) is not None
     b = e.search(s="merge segment", size=5)
     assert a.equals(b)
 

@@ -52,6 +52,12 @@ SEARCHES = [
     dict(s="merge segment", size=4, resolve=True),
     dict(s="merge segment", size=4, include="lang,repo"),
     dict(s="@readme", size=5),
+    # a merge column shown twice, or shown by source, resolve or debug
+    dict(s="merge segment", size=5, include="claimId"),
+    dict(s="merge segment", size=5, include="release_time,release_time", sort_by="release_time"),
+    dict(s="merge segment", size=5, sort_by="release_time", source=True),
+    dict(s="merge segment", size=5, sort_by="^release_time", resolve=True),
+    dict(s="merge segment", size=5, sort_by="ordinal", debug=True),
 ]
 
 
