@@ -56,8 +56,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis import flat_tokens
-from ..index.reader import _popcount64
-from ..util import atomic_write_bytes, md5_digests, run_bounds, spill_bytes
+from ..util import atomic_write_bytes, md5_digests, popcount64, run_bounds, spill_bytes
 from .exchange import combine_hashes, spill_exchange
 
 # fixed seeded 64-bit affine hashers for minhash (a*x+b mod p)
@@ -1449,7 +1448,7 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def hamming(t: pa.Table, a_idx: np.ndarray, b_idx: np.ndarray):
         sims = t["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ham = _popcount64(sims[a_idx] ^ sims[b_idx])
+        ham = popcount64(sims[a_idx] ^ sims[b_idx])
         return ham, ham <= max_hamming
 
     return _banded_pairs(ds.map_batches(explode, batch_format="pyarrow"), num_parts,

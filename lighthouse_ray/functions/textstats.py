@@ -80,55 +80,6 @@ FROM m
 """
 
 
-def levenshtein_batch(terms: pa.Array | pa.ChunkedArray, query: str) -> np.ndarray:
-    """Exact Levenshtein distance from every term in the batch to
-    ``query``, vectorized: one DP over a padded byte matrix (rows =
-    terms) built straight from the Arrow buffers, so the per-batch cost
-    is ``len(query) x max_term_len`` numpy column ops — no Python loop
-    over the vocabulary.  Matches DuckDB ``levenshtein()`` exactly
-    (unit insert/delete/substitute; a transposition costs 2).
-
-    Terms must be ASCII (true by tokenizer construction: [a-z0-9]+),
-    so bytes == characters.  This is the spell-suggestion / fuzzy-term
-    primitive (reference ``fuzziness=AUTO``, app/actions/search/
-    query.go:131,177 — the ES term-suggester analog)."""
-    if isinstance(terms, pa.ChunkedArray):
-        terms = terms.combine_chunks()
-    nd = len(terms)
-    if nd == 0:
-        return np.zeros(0, dtype=np.int64)
-    if terms.null_count:
-        import pyarrow.compute as pc
-
-        terms = pc.fill_null(terms, "")
-    offs = np.frombuffer(terms.buffers()[1], dtype=np.int32)[
-        terms.offset : terms.offset + nd + 1
-    ].astype(np.int64)
-    data = np.frombuffer(terms.buffers()[2], dtype=np.uint8)[offs[0] : offs[-1]]
-    offs = offs - offs[0]
-    lens = np.diff(offs)
-    width = int(lens.max()) if nd else 0
-    mat = np.zeros((nd, width), dtype=np.uint8)
-    if width:
-        rows = np.repeat(np.arange(nd, dtype=np.int64), lens)
-        cols = np.arange(len(data), dtype=np.int64) - np.repeat(offs[:-1], lens)
-        mat[rows, cols] = data
-    q = np.frombuffer(query.encode("ascii"), dtype=np.uint8)
-    n = len(q)
-    prev = np.broadcast_to(
-        np.arange(width + 1, dtype=np.int32), (nd, width + 1)
-    ).copy()
-    for i in range(1, n + 1):
-        cur = np.empty_like(prev)
-        cur[:, 0] = i
-        sub = (mat != q[i - 1]).astype(np.int32)
-        for j in range(1, width + 1):
-            np.minimum(prev[:, j] + 1, prev[:, j - 1] + sub[:, j - 1], out=cur[:, j])
-            np.minimum(cur[:, j], cur[:, j - 1] + 1, out=cur[:, j])
-        prev = cur
-    return prev[np.arange(nd), lens].astype(np.int64)
-
-
 def unigram_xent(ds, *, vocab: int = 65536, text_col: str = "text",
                  id_col: str = "doc_id"):
     """Per-document cross-entropy under the corpus unigram LM — the

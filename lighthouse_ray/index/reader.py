@@ -27,24 +27,7 @@ import pyarrow.parquet as pq
 
 from ..codecs import decode_position_lists, varbyte_decode
 from ..config import FIELDS
-from ..util import read_json, stable_hash64
-
-
-def _scatter_keep(alive: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Narrow a boolean survivor mask: ``alive`` marks positions in the
-    original array, ``keep`` marks survivors among the currently-alive."""
-    out = alive.copy()
-    out[alive] = keep
-    return out
-
-
-def _popcount64(a: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit popcount (SWAR)."""
-    x = a.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+from ..util import edit_distance, popcount64, put_bounded, read_json, stable_hash64, string_buffers
 
 
 _MISS = object()  # cached negative lookup
@@ -190,12 +173,7 @@ class IndexReader:
         if cached is not None:
             return cached if cached is not _MISS else None
         tp = self._lookup_uncached(field, term)
-        if len(self._postings_cache) >= 65536:
-            # drop the oldest half (insertion order); a clear-all here
-            # thrashed whole query working sets at once
-            for k in list(self._postings_cache)[: 32768]:
-                del self._postings_cache[k]
-        self._postings_cache[key] = tp if tp is not None else _MISS
+        put_bounded(self._postings_cache, key, tp if tp is not None else _MISS)
         return tp
 
     def _lookup_uncached(self, field: str, term: str) -> TermPostings | None:
@@ -249,13 +227,12 @@ class IndexReader:
         for f in fields if fields is not None else FIELDS:
             self.doclens(f)
             self._fuzzy_scan_state(f)
-            self._trigram_index(f)
         self.docmeta()
 
     def _fuzzy_scan_state(self, field: str):
-        """(terms, lens, offs, data, len_order, len_sorted, charmask_by_len)
-        for the fuzzy scan — built once per field, all O(total vocabulary
-        bytes)."""
+        """(terms, offs, data, len_order, len_sorted, charmask_by_len,
+        charmask_popcount_by_len) for the fuzzy scan — built once per
+        field, all O(total vocabulary bytes)."""
         if self._dictionary is None:
             self._dictionary = {}
         key = ("__mat__", field)
@@ -264,18 +241,16 @@ class IndexReader:
             d = self.field_dictionary(field)
             # terms are pure [a-z0-9] ASCII by tokenizer construction, so
             # codepoints == bytes: keep only the raw offset/byte buffers
-            # plus per-term lens/charmasks — all O(total vocabulary bytes).
-            # Candidate rows are gathered into a padded matrix PER QUERY
-            # after the length+charmask prefilter (an eager whole-dictionary
-            # padded matrix cost ~20 s and ~1 GB at a 3.5M-term field; the
-            # per-query gather touches only prefilter survivors, the same
-            # rows the DP reads anyway)
+            # plus per-term lens, charmasks and charmask popcounts.  The
+            # distance kernel reads the prefilter survivors' bytes
+            # straight from the buffer (an eager whole-dictionary padded
+            # matrix cost ~20 s and ~1 GB at a 3.5M-term field)
             arr = self._dictionary.get(("__arr__", field))
             if arr is None:
                 arr = pa.array(d, type=pa.string())
             nd = len(arr)
-            offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[: nd + 1].astype(np.int64)
-            data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)[: int(offs[-1])]
+            data, offs = string_buffers(arr)
+            data = data[: int(offs[-1])]
             lens = np.diff(offs).astype(np.int32)
             if nd and len(data):
                 # per-byte mask bit via a 256-entry LUT gather (the
@@ -299,173 +274,44 @@ class IndexReader:
             # charmask pre-gathered into length order: the per-query
             # bucket reads a contiguous slice instead of a bucket-sized
             # random gather
-            packed = (d, lens, offs, data, len_order, len_sorted, charmask[len_order])
-            self._dictionary[key] = packed
-        return packed
-
-    def _trigram_index(self, field: str):
-        """(tri_keys_sorted, tri_term_ids) — the q-gram prefilter sidecar
-        (VERDICT r4 item 7), built once per field, O(vocabulary bytes).
-
-        Each trigram of each term becomes one (packed-3-byte key, term
-        id) row, sorted by key; a query gathers its own trigrams' runs
-        and keeps terms sharing >= max(n, len_c) - 2 - 3*maxd grams —
-        the classic q-gram count bound (q=3): one edit destroys at most
-        q grams, so the bound is a true lower bound and the prefilter
-        can never drop a real match.  Only consulted when the bound is
-        >= 1 (long-enough query terms); short terms use the length
-        bucket + charmask path alone."""
-        if self._dictionary is None:
-            self._dictionary = {}
-        key = ("__tri__", field)
-        packed = self._dictionary.get(key)
-        if packed is None:
-            _d, lens, offs, data, *_ = self._fuzzy_scan_state(field)
-            nd = len(lens)
-            n_tris = np.maximum(lens.astype(np.int64) - 2, 0)
-            total = int(n_tris.sum())
-            if total == 0:
-                packed = (np.array([], dtype=np.uint32), np.array([], dtype=np.int32))
-            else:
-                term_of_tri = np.repeat(np.arange(nd, dtype=np.int64), n_tris)
-                cum = np.concatenate([[0], np.cumsum(n_tris)])
-                pos = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], n_tris)
-                p0 = offs[:-1][term_of_tri] + pos
-                keys = (
-                    (data[p0].astype(np.uint32) << 16)
-                    | (data[p0 + 1].astype(np.uint32) << 8)
-                    | data[p0 + 2]
-                )
-                order = np.argsort(keys, kind="stable")
-                packed = (keys[order], term_of_tri[order].astype(np.int32))
+            cm_by_len = charmask[len_order]
+            packed = (d, offs, data, len_order, len_sorted, cm_by_len,
+                      popcount64(cm_by_len).astype(np.uint8))
             self._dictionary[key] = packed
         return packed
 
     def fuzzy_candidates(self, field: str, term: str, maxd: int) -> list[str]:
         """Dictionary terms within edit distance ``maxd`` of ``term``, in
-        dictionary (sorted) order — vectorized banded Levenshtein DP over
-        a padded codepoint matrix of the prefilter survivors (no Python
-        loop over the vocabulary).
+        dictionary (sorted) order.
 
-        Prefilter chain, each step a provable no-false-negative bound
-        (VERDICT r4 item 7 — per-term cost no longer O(V)):
+        Two prefilters, each a provable no-false-negative bound, then
+        the exact distance of their survivors (``util.edit_distance``):
         1. LENGTH BUCKET: |len - n| <= maxd via two searchsorteds on the
            length-sorted order (touches only the matching-length slice);
         2. CHARMASK: >= 1 edit per character class present in only one
-           side — evaluated on the bucket only;
-        3. TRIGRAM COUNT (adaptive): shared q-grams >= max(n, len_c) -
-           2 - 3*maxd via the trigram sidecar — consulted only when the
-           q-gram bound is >= 1 AND the gather is cheaper than the DP
-           it prunes (query-trigram run length vs survivors x n ops;
-           on vocabularies where charmask already cuts to a few k rows
-           the gather would cost more than the DP it saves)."""
-        d, lens, offs, data, len_order, len_sorted, cm_by_len = self._fuzzy_scan_state(field)
+           side, evaluated on the bucket only.
+        Distances are over bytes, which are characters for the
+        tokenizer's [a-z0-9] terms."""
+        d, offs, data, len_order, len_sorted, cm_by_len, pc_by_len = self._fuzzy_scan_state(field)
         if len(d) == 0:
             return []
-        n0 = len(term)
-        # cheap lower bound: each distinct character class present in one
-        # string but not the other costs >= 1 edit -> popcount of the
-        # symmetric charmask difference (per side) must stay <= maxd
-        qcodes = np.frombuffer(term.encode("utf-32-le"), dtype=np.uint32)
-        qmask = np.uint64(
-            np.bitwise_or.reduce(np.uint64(1) << (qcodes.astype(np.uint64) % np.uint64(64)))
-        ) if len(qcodes) else np.uint64(0)
+        q = term.encode()
+        n0 = len(q)
+        qmask = np.bitwise_or.reduce(
+            np.uint64(1) << (np.frombuffer(q, dtype=np.uint8).astype(np.uint64) % np.uint64(64))
+        ) if n0 else np.uint64(0)
         lo = np.searchsorted(len_sorted, n0 - maxd, side="left")
         hi = np.searchsorted(len_sorted, n0 + maxd, side="right")
         if hi <= lo:
             return []
-        cm = cm_by_len[lo:hi]  # contiguous slice, no gather
-        diff_a = cm & ~qmask
-        diff_b = ~cm & qmask
-        lb = np.maximum(_popcount64(diff_a), _popcount64(diff_b))
-        keep = lb <= maxd
+        # classes in one string only, per side: popcount(cm & ~q) =
+        # pc(cm) - shared and popcount(~cm & q) = pc(q) - shared, so one
+        # popcount per bucket row (contiguous slices, no gather)
+        shared = popcount64(cm_by_len[lo:hi] & qmask)
+        lb = np.maximum(pc_by_len[lo:hi], int(qmask).bit_count()) - shared
         # gather original dictionary positions for SURVIVORS only
-        cand_idx = np.sort(len_order[lo:hi][keep])
-        if len(cand_idx) == 0:
-            return []
-        if n0 - 2 - 3 * maxd >= 1:
-            tri_keys, tri_terms = self._trigram_index(field)
-            if len(tri_keys):
-                tb = np.frombuffer(term.encode("utf-8"), dtype=np.uint8)
-                qk = ((tb[:-2].astype(np.uint32) << 16)
-                      | (tb[1:-1].astype(np.uint32) << 8) | tb[2:])
-                los = np.searchsorted(tri_keys, qk, side="left")
-                his = np.searchsorted(tri_keys, qk, side="right")
-                runlen = int((his - los).sum())
-                # adaptive: gather+count costs ~runlen; the DP it could
-                # prune costs ~survivors x n0 band ops — skip when the
-                # gather is the more expensive side
-                if runlen < 2 * len(cand_idx) * n0:
-                    hit = np.concatenate(
-                        [tri_terms[l:h] for l, h in zip(los, his)]
-                    ) if len(qk) else np.array([], dtype=np.int32)
-                    ids, cnts = (np.unique(hit, return_counts=True)
-                                 if len(hit) else (np.array([], dtype=np.int64),
-                                                   np.array([], dtype=np.int64)))
-                    need = np.maximum(n0, lens[ids]) - 2 - 3 * maxd
-                    qual = ids[cnts >= need]
-                    cand_idx = np.intersect1d(cand_idx, qual, assume_unique=False)
-                    if len(cand_idx) == 0:
-                        return []
-        n = len(term)
-        # the length filter above guarantees every candidate is at most
-        # n+maxd chars, so the DP never needs columns past that width;
-        # gather just the candidate rows from the raw byte buffer into a
-        # padded codepoint matrix
-        width = n + maxd
-        L = lens[cand_idx]
-        co = offs[cand_idx]
-        cols = np.arange(width, dtype=np.int64)[None, :]
-        valid = cols < np.minimum(L, width)[:, None]
-        gather = np.minimum(co[:, None] + cols, max(len(data) - 1, 0))
-        C = np.where(valid, data[gather], 0).astype(np.uint32) if len(data) else np.zeros(
-            (len(cand_idx), width), dtype=np.uint32
-        )
-        tcodes = np.frombuffer(term.encode("utf-32-le"), dtype=np.uint32)
-        # banded DP: any cell with |i-j| > maxd has true distance > maxd,
-        # so saturating it at BIG never flips an accept (a path through it
-        # costs >= BIG and DP values never decrease along a path); the
-        # inner loop then touches <= 2*maxd+1 columns per row, not `width`
-        BIG = np.int32(maxd + 1)
-        prev = np.broadcast_to(
-            np.minimum(np.arange(width + 1, dtype=np.int32), BIG),
-            (len(cand_idx), width + 1),
-        ).copy()
-        alive = None  # lazily materialized positions into cand_idx
-        for i in range(1, n + 1):
-            cur = np.full_like(prev, BIG)
-            j_lo = max(1, i - maxd)
-            j_hi = min(width, i + maxd)
-            if i <= maxd:
-                cur[:, 0] = i
-            t_i = tcodes[i - 1]
-            for j in range(j_lo, j_hi + 1):
-                np.minimum(
-                    prev[:, j] + 1, prev[:, j - 1] + (C[:, j - 1] != t_i), out=cur[:, j]
-                )
-                np.minimum(cur[:, j], cur[:, j - 1] + 1, out=cur[:, j])
-            prev = cur
-            # early abandon: a candidate whose whole band exceeds maxd can
-            # never recover (values are non-decreasing along any path) —
-            # compact the working set so later rows scan only survivors
-            if len(prev) > 4096 and i < n:
-                band_min = prev[:, j_lo : j_hi + 1].min(axis=1)
-                if i <= maxd:
-                    band_min = np.minimum(band_min, prev[:, 0])
-                keep = band_min <= maxd
-                if keep.mean() < 0.6:
-                    prev = prev[keep]
-                    C = C[keep]
-                    L = L[keep]
-                    alive = keep if alive is None else _scatter_keep(alive, keep)
-        dist = prev[np.arange(len(prev)), L]
-        ok = dist <= maxd
-        if alive is not None:
-            final = alive.copy()
-            final[alive] = ok
-            hits = cand_idx[final]
-        else:
-            hits = cand_idx[ok]
+        cand_idx = np.sort(len_order[lo:hi][lb <= maxd])
+        hits = cand_idx[edit_distance(data, offs, cand_idx, q) <= maxd]
         return [d[i] for i in hits]
 
     def expand_prefix(self, field: str, prefix: str, limit: int = 50) -> list[str]:

@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analysis import flat_tokens, sql_tokens_expr, tokenize_text
-from ..util import collect, md5_digests, run_bounds, top_k
+from ..util import collect, edit_distance, md5_digests, run_bounds, string_buffers, top_k
 
 TOK = sql_tokens_expr("text")
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is")
@@ -3779,14 +3779,15 @@ def q_spell_suggest(sf_dir: str):
     rank dictionary terms within edit distance {SPELL_MAXD} of the
     query by (distance asc, df desc, term asc), top {SPELL_TOPK} — the
     ES term-suggester analog of the reference's fuzziness=AUTO
-    (app/actions/search/query.go:131,177).  The distance kernel is one
-    vectorized DP per batch over the padded byte matrix
-    (functions/textstats.py::levenshtein_batch); candidates after the
-    distance filter are a sliver, so the final sort+limit is cheap."""
-    from ..functions.textstats import levenshtein_batch
+    (app/actions/search/query.go:131,177).  Each batch's distances come
+    from the bit-parallel kernel over its ``term`` buffers
+    (``util.edit_distance``, the one fuzzy expansion uses); candidates
+    after the distance filter are a sliver, so the final sort+limit is
+    cheap."""
 
     def dist(b: pa.Table) -> pa.Table:
-        d = levenshtein_batch(b["term"], SPELL_Q)
+        data, offs = string_buffers(b["term"])
+        d = edit_distance(data, offs, np.arange(b.num_rows), SPELL_Q)
         t = pa.table({
             "term": b["term"],
             "dist": pa.array(d, type=pa.int64()),
@@ -5583,8 +5584,9 @@ FUZZY_QUERY = "merge sow"
 def q_fuzzy_match(sf_dir: str):
     """`match` with fuzziness=AUTO answered by the index (Q1's fuzzy
     path end-to-end as a gate): each query term expands to dictionary
-    terms within the AUTO edit distance via the reader's banded
-    vectorized Levenshtein scan; each expansion scores BM25 at its OWN
+    terms within the AUTO edit distance via the reader's dictionary
+    scan (length and charmask prefilters, then the bit-parallel
+    ``util.edit_distance``); each expansion scores BM25 at its OWN
     df and a doc takes the MAX over a term's expansions (then terms
     sum).  'sow' expands to {{row, slow}} on this corpus — a real
     multi-expansion max.  The oracle recomputes the expansion sets with

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from ..index import IndexReader, TermPostings
+from ..util import put_bounded
 
 
 class DenseResult:
@@ -153,7 +154,8 @@ class Scorer:
     def fuzzy_expand(self, field: str, term: str, max_expansions: int = 50) -> list[str]:
         """AUTO expansions: exact term first, then dictionary-order
         candidates within the AUTO distance, capped at max_expansions.
-        Vectorized DP in the reader; memoized per (field, term)."""
+        The reader's dictionary scan finds them; memoized per (field,
+        term), at most 65,536 entries (oldest half dropped when full)."""
         key = (field, term)
         cached = self._fuzzy_cache.get(key)
         if cached is not None:
@@ -171,7 +173,7 @@ class Scorer:
                     if len(out) >= max_expansions:
                         break
             out = out or [term]
-        self._fuzzy_cache[key] = out
+        put_bounded(self._fuzzy_cache, key, out)
         return out
 
     # -- phrases --------------------------------------------------------------

@@ -94,6 +94,122 @@ def top_k(scores, ids, k: int | None = None) -> np.ndarray:
     return np.lexsort((every, neg))[:k]
 
 
+def put_bounded(cache: dict, key, value, cap: int = 65536) -> None:
+    """``cache[key] = value``, first dropping the oldest half (insertion
+    order) of a cache holding ``cap`` entries; a clear-all here thrashed
+    whole query working sets at once."""
+    if len(cache) >= cap:
+        for k in list(cache)[: cap // 2]:
+            del cache[k]
+    cache[key] = value
+
+
+def string_buffers(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(data, offs) of an Arrow string Array or ChunkedArray: the UTF-8
+    bytes as uint8 and ``len(arr) + 1`` int64 offsets into them, so row
+    ``i`` is ``data[offs[i]:offs[i + 1]]``.  A sliced array keeps its
+    parent's buffer (``offs[0]`` may be nonzero).  Null rows are not
+    masked: callers pass columns without nulls."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    n = len(arr)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    _validity, obuf, dbuf = arr.buffers()
+    odt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offs = np.frombuffer(obuf, dtype=odt, count=arr.offset + n + 1)[arr.offset:].astype(np.int64)
+    data = np.frombuffer(dbuf, dtype=np.uint8) if dbuf is not None else np.zeros(0, dtype=np.uint8)
+    return data, offs
+
+
+def popcount64(a: np.ndarray) -> np.ndarray:
+    """Vectorized 64-bit popcount (SWAR)."""
+    x = np.asarray(a, dtype=np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).view(np.int64)
+
+
+def edit_distance(data: np.ndarray, offs: np.ndarray, rows, query) -> np.ndarray:
+    """Exact Levenshtein distance (unit insert, delete and substitute,
+    over bytes) from ``query`` to each row ``data[offs[r]:offs[r + 1]]``
+    of ``rows``, as int64 in ``rows`` order.
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance
+    form: the query is the pattern, one bit per query byte, and each
+    step reads one text byte of every still-running row at once, so
+    there is no Python loop over the rows.  A query longer than 64
+    bytes spans ``W`` 64-bit words; a word hands its bottom row's
+    horizontal delta up to the next (Hyyrö's block step), and a
+    one-word query is ``W = 1``.  Rows run longest first, so the rows
+    still running at step ``j`` are a prefix and finished ones keep
+    their last column.  The distance is then read off that column:
+    ``D[m][n] = D[0][n] + (vertical +1s) - (vertical -1s) = n +
+    popcount(Pv) - popcount(Mv)`` over the query's ``m`` bits.  Cost:
+    max row length x ``W`` steps of ~20 numpy ops over the running
+    rows."""
+    q = np.frombuffer(query.encode() if isinstance(query, str) else bytes(query), dtype=np.uint8)
+    m = len(q)
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = offs[rows]
+    lens = offs[rows + 1] - starts
+    if m == 0 or len(rows) == 0:
+        return lens.astype(np.int64)
+    order = np.argsort(-lens, kind="stable")
+    pos, lens = starts[order], lens[order]
+    n_words = (m + 63) // 64
+    # peq[w, c]: bit i set where query byte 64 * w + i is c
+    peq = np.zeros((n_words, 256), dtype=np.uint64)
+    bit = np.arange(m)
+    np.bitwise_or.at(peq, (bit // 64, q), np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)))
+    pv = np.full((n_words, len(rows)), ~np.uint64(0))  # D[i][0] = i
+    mv = np.zeros((n_words, len(rows)), dtype=np.uint64)
+    one, high = np.uint64(1), np.uint64(63)
+    # running[j]: rows longer than j, a prefix of the longest-first order
+    running = np.searchsorted(-lens, -np.arange(int(lens[0])), side="left")
+    for a in running:
+        c = data[pos[:a]]
+        pos[:a] += 1
+        # the top row D[0][j] = j: every step enters word 0 with delta +1
+        h_pos, h_neg = one, None
+        for w in range(n_words):
+            # Myers' names: p, mw are Pv, Mv (vertical +1 / -1 bits) and
+            # ph, mh are Ph, Mh (horizontal); updated in place
+            p, mw = pv[w, :a], mv[w, :a]
+            eq = peq[w].take(c)
+            xv = eq | mw
+            if h_neg is not None:
+                eq |= h_neg
+            xh = eq & p
+            xh += p
+            xh ^= p
+            xh |= eq
+            ph = xh | p
+            np.invert(ph, out=ph)
+            ph |= mw
+            mh = np.bitwise_and(p, xh, out=xh)
+            if w < n_words - 1:  # this word's bottom-row delta, for the next
+                out_pos, out_neg = ph >> high, mh >> high
+            ph <<= one
+            ph |= h_pos
+            mh <<= one
+            if h_neg is not None:
+                mh |= h_neg
+            np.bitwise_or(xv, ph, out=p)
+            np.invert(p, out=p)
+            p |= mh
+            np.bitwise_and(ph, xv, out=mw)
+            if w < n_words - 1:
+                h_pos, h_neg = out_pos, out_neg
+    # bits past the query's last byte are not rows of D
+    pv[-1] &= ~np.uint64(0) >> np.uint64(64 * n_words - m)
+    mv[-1] &= ~np.uint64(0) >> np.uint64(64 * n_words - m)
+    out = np.empty(len(rows), dtype=np.int64)
+    out[order] = lens + popcount64(pv).sum(axis=0) - popcount64(mv).sum(axis=0)
+    return out
+
+
 def collect(ds) -> pa.Table:
     """Run the Ray Dataset ``ds`` and return its rows as one Arrow table.
 

@@ -25,15 +25,15 @@ TABLES = [
 
 
 def to_pandas(res) -> pd.DataFrame:
+    """A gate's answer as a frame.  A Dataset goes through
+    ``util.collect``, so an empty answer keeps its columns."""
     import pyarrow as pa
+    import ray.data as rd
 
-    try:
-        import ray.data as rd
+    from lighthouse_ray.util import collect
 
-        if isinstance(res, rd.Dataset):
-            return res.to_pandas()
-    except ImportError:
-        pass
+    if isinstance(res, rd.Dataset):
+        res = collect(res)
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res

@@ -218,6 +218,17 @@ def test_collect_keeps_empty_pair_columns(ray_session):
     assert list(got.to_pandas().columns) == ["a", "b", "inter", "jaccard"]
 
 
+def test_checker_keeps_empty_dataset_columns(ray_session):
+    """The oracle checker turns a gate's zero-row Dataset into a frame
+    with the Dataset's columns (``Dataset.to_pandas()`` has none)."""
+    import ray.data as rd
+
+    from scripts.check_driver_queries import to_pandas
+
+    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.string())})
+    assert list(to_pandas(rd.from_arrow(empty)).columns) == ["a", "b"]
+
+
 def test_simhash_near_dup(ray_session):
     import ray.data as rd
 
@@ -1498,11 +1509,14 @@ def test_driver_contract_consistency():
         con.execute("EXPLAIN " + sql)  # raises on any parse/bind error
 
 
-@pytest.mark.parametrize("gate", ["multimodal_meta", "audio_meta", "video_meta", "video_frames"])
-def test_media_gate_matches_oracle(ray_session, gate):
-    """Each media gate equals its DuckDB oracle, compared as
+@pytest.mark.parametrize(
+    "gate", ["multimodal_meta", "audio_meta", "video_meta", "video_frames", "spell_suggest"]
+)
+def test_gate_matches_oracle(ray_session, gate):
+    """Each gate equals its DuckDB oracle, compared as
     ``scripts/check_driver_queries.py`` compares: canonical frames with
-    equal columns and row count, then values to 1e-9."""
+    equal columns and row count, then values to 1e-9.  Every gate here
+    reads only ``documents``."""
     import duckdb
     import pandas as pd
 
@@ -1520,15 +1534,17 @@ def test_media_gate_matches_oracle(ray_session, gate):
 
 
 def test_levenshtein_batch_matches_duckdb():
-    """The vectorized DP is exact Levenshtein, including the sliced-
-    array (nonzero Arrow offset) path."""
+    """``util.edit_distance`` over a batch of Arrow terms is exact
+    Levenshtein (DuckDB ``levenshtein()`` is the oracle), including a
+    sliced array (nonzero Arrow offset)."""
     import duckdb
 
-    from lighthouse_ray.functions.textstats import levenshtein_batch
+    from lighthouse_ray.util import edit_distance, string_buffers
 
     words = ["window", "windows", "widow", "merge", "win", "sor", "", "s0rt", "sort"]
+    rows = np.arange(len(words))
     for q in ["sor", "windwo", "a"]:
-        got = list(levenshtein_batch(pa.array(words), q))
+        got = list(edit_distance(*string_buffers(pa.array(words)), rows, q))
         want = [
             r[0]
             for r in duckdb.sql(
@@ -1537,7 +1553,7 @@ def test_levenshtein_batch_matches_duckdb():
         ]
         assert got == want
         sliced = pa.array(["pad", *words]).slice(1)
-        assert list(levenshtein_batch(sliced, q)) == want
+        assert list(edit_distance(*string_buffers(sliced), rows, q)) == want
 
 
 def test_group_topn_min_across_batches(ray_session):
