@@ -16,8 +16,8 @@ built Ray-Data-first:
   metadata; per-partition manifests for resume.
 - ``index``     — segment format readers.
 - ``query``     — BM25 (k1=1.2, b=0.75) compound scoring, filters,
-  phrase/prefix matching, function-score, top-k (exhaustive and
-  block-max WAND), autocomplete — the ES DSL surface the reference
+  phrase/prefix matching, function-score, vectorized top-k,
+  autocomplete — the ES DSL surface the reference
   invokes (app/actions/search/query.go).
 - ``functions`` — large-scale training-data ops: dedup (exact, MinHash
   LSH, SimHash, n-gram Jaccard, embedding cosine), similarity search,

@@ -369,6 +369,8 @@ SEGMENT_SCHEMA = pa.schema(
         ("ords", pa.large_binary()),
         ("tfs", pa.large_binary()),
         ("pos", pa.large_binary()),
+        # block-max metadata: written for a block-skipping traversal,
+        # not decoded by any reader yet
         ("blk_last", pa.large_binary()),   # uint64 LE per block: last ordinal
         ("blk_maxtf", pa.large_binary()),  # uint32 LE per block: max tf
     ]

@@ -983,7 +983,7 @@ def minhash_dedup_pairs(ds, threshold: float = 0.5, k: int = 3,
     ``sig8`` sketches (the low byte of each minhash value) agree on
     fewer than ceil(num_perm * threshold / 2) positions BEFORE they
     become rows.  Rationale (measured on the 878k synthetic code
-    corpus, scripts/diag_lsh_*.py): template code makes r=2 band
+    corpus): template code makes r=2 band
     buckets of 10^3-10^4 docs whose pairwise Jaccard is 0.03-0.12 —
     all-pairs expansion is ~1.7e9 candidate rows and killed the reduce
     task, while a sketch cutoff at est >= 0.25 keeps 8e-5 of hot-bucket

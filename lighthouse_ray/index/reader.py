@@ -38,8 +38,6 @@ class Chunk:
     ords: np.ndarray        # absolute ordinals, uint64, sorted
     tfs: np.ndarray         # uint64
     pos_blob: bytes
-    blk_last: np.ndarray    # uint64 per block: last ordinal
-    blk_maxtf: np.ndarray   # uint32 per block: max tf
 
 
 class TermPostings:
@@ -161,8 +159,6 @@ class IndexReader:
             ords=ords,
             tfs=tfs,
             pos_blob=t["pos"][i].as_py(),
-            blk_last=np.frombuffer(t["blk_last"][i].as_py(), dtype=np.uint64),
-            blk_maxtf=np.frombuffer(t["blk_maxtf"][i].as_py(), dtype=np.uint32),
         )
 
     def lookup(self, field: str, term: str) -> TermPostings | None:
@@ -419,7 +415,8 @@ class RangeReader:
             return hit if hit is not _MISS else None
         tp = self.base.lookup(field, term)
         out = SlicedPostings(tp, self.lo, self.hi) if tp is not None else None
-        self._slice_cache[key] = out if out is not None else _MISS
+        # bounded like the base cache: a slice pins its base postings
+        put_bounded(self._slice_cache, key, out if out is not None else _MISS)
         return out
 
     def __getattr__(self, name):

@@ -187,17 +187,15 @@ def _built_index(sf_dir: str) -> str:
 
 def q_bm25_topk(sf_dir: str):
     """Top-10 BM25 over documents.text for a fixed query, answered by the
-    distributed index via block-max WAND; oracle is closed-form SQL BM25.
-
-    WAND ties on the internal ordinal while the SQL orders by doc_id, so
-    the page comes from ``topk_page``, which deepens the fetch until the
-    (score desc, doc_id asc) page is provably complete.
+    distributed index through ``topk_page`` (the vectorized scorer, cut
+    in the SQL's (score desc, doc_id asc) order); oracle is closed-form
+    SQL BM25.
     """
     from ..index import IndexReader
     from ..query.pagination import topk_page
 
     reader = IndexReader(_built_index(sf_dir))
-    _ords, doc_ids, scores, _k = topk_page(
+    _ords, doc_ids, scores = topk_page(
         reader, "content", tokenize_text(BM25_QUERY), size=10
     )
     return pd.DataFrame({"doc_id": doc_ids, "score": np.round(scores, 6)})
@@ -4116,7 +4114,7 @@ def q_synonym_match(sf_dir: str):
 
     reader = IndexReader(_built_index(sf_dir))
     terms = expand_terms(tokenize_text(BM25_QUERY), SYNONYMS)
-    _ords, doc_ids, scores, _k = topk_page(reader, "content", terms, size=10)
+    _ords, doc_ids, scores = topk_page(reader, "content", terms, size=10)
     return pd.DataFrame({"doc_id": doc_ids, "score": np.round(scores, 6)})
 
 

@@ -1,25 +1,20 @@
-"""Keyset deep pagination over the BM25 top-k engine (search_after).
+"""Plain-BM25 top-k and keyset deep pagination (search_after).
+
+Every plain OR-of-terms BM25 top-k (the ``bm25_topk``, ``search_after``,
+``synonym_match`` and ``rescore_phrase`` gates, the rescore window and
+the delta-chain reads of ``IncrementalIndex``) is one pass of
+:func:`topk_page`: the vectorized ``Scorer.match`` over the query's
+terms, the live mask, the cursor filter, and a ``util.top_k`` cut that
+breaks ties on the external doc id.
 
 Offset pagination (``from`` + ``size``, search.go:56-63 semantics) costs
 every replica an O(from + size) heap and breaks under concurrent index
 refresh; ``search_after`` instead carries the last returned hit's sort
 key — ``(score, doc_id)`` — as an opaque cursor and asks for the next
 ``size`` rows strictly after it in ``(score desc, doc_id asc)`` order.
-That makes page N cost the same as page 1 and keeps the cursor valid
-across segment merges (the sort key is content-derived, not positional).
-
-Over a top-k engine the implementation is iterative deepening: fetch
-top-k with doubling k until the post-cursor slice provably holds
-``size`` complete rows — i.e. the slice's last row scores strictly
-above the fetch frontier (every doc scoring above the frontier is in
-the fetch), or the fetch already exhausted all matching docs.  For a
-page at depth d this touches O(d + size) heap entries once, not per
-replica per page.
-
-At 100 TB the cursor is what makes deep scans feasible: a driver
-walking the full ranking never asks any replica for more than its own
-top-(depth) slice, and restarts resume from the last cursor instead of
-re-paging from zero.
+The cursor is content-derived, not positional, so it stays valid across
+segment merges, and a page at any depth costs the same single pass as
+page 1.
 """
 
 from __future__ import annotations
@@ -34,17 +29,10 @@ from ..util import top_k
 
 @dataclass(frozen=True)
 class PageCursor:
-    """Sort key of the last hit of a page: (score desc, doc_id asc).
-
-    ``k_hint`` is a pure optimization carried between pages: the fetch
-    depth that sufficed for the previous page, so the next page starts
-    its deepening there instead of re-climbing the doubling ladder from
-    the bottom.  It never affects results (any starting k converges to
-    the same page via the completeness check)."""
+    """Sort key of the last hit of a page: (score desc, doc_id asc)."""
 
     score: float
     doc_id: object  # any ordered id type (int for the driver corpus, str for claim ids)
-    k_hint: int = 0
 
 
 def topk_page(
@@ -55,51 +43,33 @@ def topk_page(
     after: PageCursor | None = None,
     doc_ids: np.ndarray | None = None,
     live: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``size`` hits right after ``after`` (or the first ``size``)
-    in (score desc, doc_id asc) order, as ``(ords, ids, scores, k)``:
-    internal ordinals, external ids, scores, and the fetch depth that
-    sufficed.  WAND breaks ties on the ordinal, so no fixed over-fetch
-    margin can promise the external-id order; this deepens until it
-    holds.
+    in (score desc, doc_id asc) order, as ``(ords, ids, scores)``:
+    internal ordinals, external ids and BM25 scores.
 
     ``doc_ids`` maps internal ordinal -> external doc id (defaults to
     the docmeta ``path`` column cast to int64, the driver-corpus
     convention; any numpy-sortable id dtype works, including strings).
-    ``live`` (optional bool mask over ordinals) is forwarded to WAND.
+    ``live`` (optional bool mask over ordinals) drops dead docs before
+    the cut, so shadowed docs never displace live ones.
     """
-    from .wand import wand_topk
+    from .scoring import Scorer
 
-    none = np.zeros(0, dtype=np.int64)
-    n = reader.n_docs
-    if n == 0:
-        return none, none, np.zeros(0), 0
     if doc_ids is None:
         doc_ids = reader.docmeta()["path"].to_numpy().astype(np.int64)
-
-    k = max(4 * size, 16, after.k_hint if after is not None else 0)
-    while True:
-        k = min(k, n)
-        hits = wand_topk(reader, field, terms, k=k, live=live)
-        if not hits:
-            return none, doc_ids[none], np.zeros(0), k
-        frontier = min(s for _, s in hits)
-        exhausted = len(hits) < k or k >= n
-        ords = np.fromiter((d for d, _ in hits), dtype=np.int64, count=len(hits))
-        scores = np.fromiter((s for _, s in hits), dtype=np.float64, count=len(hits))
-        ids = doc_ids[ords]
-        if after is not None:
-            keep = (scores < after.score) | (
-                (scores == after.score) & (ids > after.doc_id)
-            )
-            ords, ids, scores = ords[keep], ids[keep], scores[keep]
-        page = top_k(scores, ids, size)
-        # the page is complete when its worst row scores strictly above
-        # the frontier (ties AT the frontier may be cut by the top-k) or
-        # nothing deeper exists
-        if exhausted or (0 < len(page) == size and scores[page[-1]] > frontier):
-            return ords[page], ids[page], scores[page], k
-        k *= 2
+    res = Scorer(reader).match(field, list(dict.fromkeys(terms)))
+    ords = np.flatnonzero(res.mask if live is None else res.mask & live)
+    scores = res.scores[ords]
+    if after is not None:
+        keep = scores < after.score
+        # external ids are compared only where the score ties the cursor's
+        tie = np.flatnonzero(scores == after.score)
+        keep[tie] = doc_ids[ords[tie]] > after.doc_id
+        ords, scores = ords[keep], scores[keep]
+    cut = top_k(scores, lambda p: doc_ids[ords[p]], size)
+    ords = ords[cut]
+    return ords, doc_ids[ords], scores[cut]
 
 
 def search_after_topk(
@@ -117,10 +87,10 @@ def search_after_topk(
     reindexing with a different ordinal assignment; ``doc_ids`` and
     ``live`` are as in :func:`topk_page` (delta-aware serving
     paginates over live docs only)."""
-    _ords, ids, scores, k = topk_page(reader, field, terms, size, after, doc_ids, live)
+    _ords, ids, scores = topk_page(reader, field, terms, size, after, doc_ids, live)
     page = [
         (v.item() if isinstance(v, np.generic) else v, float(s))
         for v, s in zip(ids, scores)
     ]
-    cursor = PageCursor(page[-1][1], page[-1][0], k_hint=k) if page else None
+    cursor = PageCursor(page[-1][1], page[-1][0]) if page else None
     return page, cursor

@@ -1,12 +1,12 @@
 """Two-phase rescoring: cheap BM25 window, expensive second-pass query.
 
 Standard-engine ``rescore`` semantics: rank the corpus with the cheap
-query (block-max WAND BM25), take the top ``window`` hits, re-score
-ONLY those with a costlier signal — here positional exact-phrase
-presence — and re-rank the window.  Docs outside the window never pay
-the expensive phrase check, which is the point: at 10^12 docs the
-phrase verification (position-list intersection) runs on ``window``
-candidates per replica, not on every match.
+query (plain BM25, ``pagination.topk_page``), take the top ``window``
+hits, re-score ONLY those with a costlier signal — here positional
+exact-phrase presence — and re-rank the window.  Docs outside the
+window never pay the expensive phrase check, which is the point: at
+10^12 docs the phrase verification (position-list intersection) runs
+on ``window`` candidates per replica, not on every match.
 
 Ordering contract matches the rest of the query stack: ties break on
 the EXTERNAL doc id ascending (pass ``doc_ids``), so results are
@@ -42,7 +42,7 @@ def rescore_phrase_topk(
     from .pagination import topk_page
     from .scoring import Scorer
 
-    ords, ids, scores, _k = topk_page(
+    ords, ids, scores = topk_page(
         reader, field, terms, size=window, doc_ids=doc_ids, live=live
     )
     if len(ords) == 0:

@@ -16,7 +16,8 @@ Implements the ES/Lucene semantics the reference invokes (SURVEY.md §2.4):
 - ``field_value_factor`` log1p and gauss decay (func_score.go)
 
 All scorers return dense (scores, matched) arrays over ordinals — the
-exhaustive traversal; block-max WAND is the scale path for top-k.
+exhaustive traversal; plain-BM25 top-k is ``match`` plus one
+``util.top_k`` cut (``pagination.topk_page``).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import pyarrow as pa
 
 from ..config import IndexConfig
 from ..index import IndexReader
-from ..util import atomic_write_json, read_json
+from ..util import atomic_write_json, read_json, top_k
 
 
 def _key(repo: str, path: str) -> str:
@@ -131,7 +131,10 @@ class IncrementalIndex:
         for repo, path in tombstone_keys or []:
             self.state["tombstones"].append({"repo": repo, "path": path, "after_delta": n})
         self._save()
-        self._readers = None
+        # segment dirs are never rebuilt in place: the open readers stay
+        # valid, and only the new delta needs opening
+        if source is not None and self._readers is not None:
+            self._readers.append(IndexReader(delta_dir))
         self._live_map = None
         return delta_dir
 
@@ -160,7 +163,9 @@ class IncrementalIndex:
 
         Cached per sync state: the map only changes when a delta or
         tombstone is applied (every mutator resets ``_live_map``), so
-        serving pays the concat-and-dedup once per sync, not per query."""
+        serving pays the concat-and-dedup once per sync, not per query.
+        The open readers (and their docmeta) survive appends and
+        tombstones; only ``build_base`` and the compactions reopen them."""
         if self._live_map is not None:
             return self._live_map
         readers = self.readers()
@@ -211,119 +216,56 @@ class IncrementalIndex:
             out.append(sub)
         return pd.concat(out, ignore_index=True)
 
+    def _merged_topk(self, field: str, terms: list[str], size: int, after=None):
+        """(segment, ords, doc_ids, scores) of the merged live top-``size``
+        right after ``after`` in (score desc, doc_id asc) order: each
+        segment cuts its own live page (``topk_page`` on its doc_id
+        column, shadowed docs masked), the merge cuts the union."""
+        from ..query.pagination import topk_page
+
+        parts = []
+        for seg, (rdr, mask) in enumerate(zip(self.readers(), self.live_map())):
+            ords, ids, scores = topk_page(
+                rdr, field, terms, size, after,
+                doc_ids=rdr.docmeta()["doc_id"].to_numpy(), live=mask,
+            )
+            parts.append((np.full(len(ords), seg), ords, ids, scores))
+        seg, ords, ids, scores = (np.concatenate(c) for c in zip(*parts))
+        cut = top_k(scores, ids, size)
+        return seg[cut], ords[cut], ids[cut], scores[cut]
+
     def search_topk(self, field: str, terms: list[str], k: int = 10) -> pd.DataFrame:
-        """Merged disjunctive BM25 top-k across segments with shadowing.
+        """Merged disjunctive BM25 top-k across segments with shadowing,
+        in (score desc, doc_id asc) order.
 
-        Per-segment WAND (per-segment df/avgdl stats — the documented
-        approximation; compaction restores global-exact scores)."""
-        from ..query.wand import wand_topk
-
-        masks = self.live_map()
-        rows = []
-        for seg, (rdr, mask) in enumerate(zip(self.readers(), masks)):
-            # shadowed docs are skipped inside WAND (live mask): the heap
-            # stays at k instead of k + n_shadowed — with a large base and
-            # many shadowing deltas the old over-fetch degenerated to a
-            # near-exhaustive scan of the base segment
-            hits = wand_topk(rdr, field, terms, k=k, live=mask)
-            meta = rdr.docmeta()
-            for ordinal, score in hits:
-                rows.append(
-                    {
-                        "doc_id": meta["doc_id"].iloc[ordinal],
-                        "repo": meta["repo"].iloc[ordinal],
-                        "path": meta["path"].iloc[ordinal],
-                        "score": score,
-                        "segment": seg,
-                    }
-                )
-        df = pd.DataFrame(rows)
-        if df.empty:
-            return df
-        return (
-            df.sort_values(["score", "doc_id"], ascending=[False, True])
-            .head(k)
-            .reset_index(drop=True)
+        Per-segment df/avgdl stats — the documented approximation;
+        compaction restores global-exact scores."""
+        seg, ords, ids, scores = self._merged_topk(field, terms, k)
+        readers = self.readers()
+        cols = {c: np.empty(len(ords), dtype=object) for c in ("repo", "path")}
+        for s in np.unique(seg):
+            meta, at = readers[s].docmeta(), seg == s
+            for c, out in cols.items():
+                out[at] = meta[c].to_numpy()[ords[at]]
+        return pd.DataFrame(
+            {"doc_id": ids, **cols, "score": scores, "segment": seg}
         )
 
     def search_after(self, field: str, terms: list[str], size: int = 10,
                      after=None):
-        """Keyset pagination across live segments: each segment serves
-        its own post-cursor page (shadowed docs masked inside WAND),
-        the merge keeps the global (score desc, doc_id asc) order and
-        cuts to ``size``.  The cursor is a pure (score, doc_id) sort
-        key, so it stays valid across delta appends that do not shadow
-        already-returned docs — exactly the search_after contract.
+        """Keyset pagination across live segments: the merged live page
+        strictly after ``after`` in (score desc, doc_id asc) order.  The
+        cursor is a pure (score, doc_id) sort key, so it stays valid
+        across delta appends that do not shadow already-returned docs —
+        exactly the search_after contract.
 
         Returns ``(DataFrame[doc_id, score], next_cursor)``."""
-        from ..query.pagination import PageCursor, search_after_topk
+        from ..query.pagination import PageCursor
 
-        masks = self.live_map()
-        rows: list[tuple] = []
-        hints = [after.k_hint] if after is not None else [0]
-        for rdr, mask in zip(self.readers(), masks):
-            ids = rdr.docmeta()["doc_id"].to_numpy()
-            page, seg_cur = search_after_topk(
-                rdr, field, terms, size=size, after=after, doc_ids=ids, live=mask
-            )
-            rows.extend(page)
-            if seg_cur is not None:
-                hints.append(seg_cur.k_hint)
-        rows.sort(key=lambda x: (-x[1], x[0]))
-        rows = rows[:size]
-        df = pd.DataFrame(rows, columns=["doc_id", "score"])
-        # carry the deepest per-segment fetch depth so the next page's
-        # deepening starts where this one ended (pure optimization)
-        cursor = (
-            PageCursor(rows[-1][1], rows[-1][0], k_hint=max(hints)) if rows else None
-        )
+        _seg, _ords, ids, scores = self._merged_topk(field, terms, size, after)
+        df = pd.DataFrame({"doc_id": ids, "score": scores})
+        cursor = PageCursor(float(scores[-1]), ids[-1]) if len(ids) else None
         return df, cursor
-
-    def delete_by_query(self, field: str, terms: list[str]) -> int:
-        """ES ``_delete_by_query`` analog: tombstone EVERY live doc
-        whose ``field`` contains ALL ``terms`` (bool.must semantics —
-        the predicate, not a top-k).  Matching runs straight off the
-        posting lists (ordinal intersection per live segment, no
-        scoring, no text re-read); the matched logical keys become
-        tombstones exactly like a blocklist hit.  Returns the number
-        of tombstones written."""
-        import numpy as np
-
-        nd = len(self.state["deltas"])
-        tombs: list[dict] = []
-        for rdr, mask in zip(self.readers(), self.live_map()):
-            ords: np.ndarray | None = None
-            for t in terms:
-                tp = rdr.lookup(field, t)
-                if tp is None:
-                    ords = np.array([], dtype=np.int64)
-                    break
-                cur = np.asarray(tp.ordinals, dtype=np.int64)
-                ords = cur if ords is None else np.intersect1d(ords, cur)
-                if len(ords) == 0:
-                    break
-            if ords is None or len(ords) == 0:
-                continue
-            ords = ords[mask[ords]]  # live only
-            if len(ords) == 0:
-                continue
-            meta = rdr.docmeta()
-            for r, p_ in zip(meta["repo"].to_numpy()[ords], meta["path"].to_numpy()[ords]):
-                tombs.append({"repo": r, "path": p_, "after_delta": nd})
-        # dedup logical keys matched in several segments (newest-wins
-        # shadowing means only one occurrence is live, but be exact)
-        seen: set[tuple] = set()
-        uniq = []
-        for t in tombs:
-            k = (t["repo"], t["path"])
-            if k not in seen:
-                seen.add(k)
-                uniq.append(t)
-        self.state["tombstones"].extend(uniq)
-        self._save()
-        self._readers = None
-        self._live_map = None
-        return len(uniq)
 
     # -- blocklists (J4, app/jobs/blocked/blocked.go) ------------------------
 
@@ -348,7 +290,6 @@ class IncrementalIndex:
             for r, p in zip(sub["repo"], sub["path"])
         )
         self._save()
-        self._readers = None
         self._live_map = None
         return int(hit.sum())
 

@@ -5,7 +5,7 @@ query over the 44-common-word content vocabulary streams ~corpus-sized
 score arrays, so same-host replicas saturate the shared memory bus at
 ~1.4x single-replica QPS.  The complementary claim — that a
 SELECTIVE-vocabulary workload (real-code Zipf tail: rare identifiers
-with small df) stays in the block-max WAND skipping regime where
+with small df) touches only small posting lists, so
 per-query bandwidth is orders lower and QPS scales with replicas on
 one box — was asserted, not measured.  This script measures both on
 the SAME index in the SAME run:
@@ -13,8 +13,8 @@ the SAME index in the SAME run:
 - dense queries: 3-term combinations of the corpus's common words
   (df ~ corpus-sized -> exhaustive vectorized scoring regime);
 - selective queries: 3-term combinations of rare identifier terms
-  sampled from the term dictionary with df in [16, 2048] (WAND
-  skipping regime; candidate sets thousands of docs, not millions).
+  sampled from the term dictionary with df in [16, 2048] (candidate
+  sets thousands of docs, not millions).
 
 Closed-loop clients (threads = 2x replicas), query cache OFF, replicas
 prewarmed.  One JSON line: per-regime {replicas: {qps, p50_ms, p95_ms}}

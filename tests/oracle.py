@@ -476,3 +476,18 @@ def _edit_distance(a, b):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a[i - 1] != b[j - 1]))
         prev = cur
     return prev[lb]
+
+
+def exhaustive_topk(reader, field: str, terms: list[str], k: int = 10) -> list[tuple[int, float]]:
+    """Top-k reference for plain BM25: the engine's dense ``Scorer.match``
+    (so scores are bit-identical to the served top-k) followed by a full
+    (score desc, ordinal asc) sort — no cut, no cursor, no live mask."""
+    import numpy as np
+
+    from lighthouse_ray.query.scoring import Scorer
+
+    res = Scorer(reader).match(field, list(dict.fromkeys(terms)))
+    ords = np.flatnonzero(res.mask)
+    scores = res.scores[ords]
+    order = np.lexsort((ords, -scores))[:k]
+    return [(int(ords[i]), float(scores[i])) for i in order]

@@ -12,9 +12,15 @@ CFG = IndexConfig(num_doc_parts=4, num_term_shards=8)
 
 
 def _results(reader):
-    from lighthouse_ray.query.wand import wand_topk
+    import numpy as np
 
-    return wand_topk(reader, "content", ["merge", "sorted", "import"], k=10)
+    from lighthouse_ray.query.pagination import topk_page
+
+    ords, _ids, scores = topk_page(
+        reader, "content", ["merge", "sorted", "import"], 10,
+        doc_ids=np.arange(reader.n_docs),
+    )
+    return list(zip(ords.tolist(), scores.tolist()))
 
 
 @pytest.fixture(scope="module")

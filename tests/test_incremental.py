@@ -10,6 +10,8 @@ from lighthouse_ray.config import IndexConfig
 from lighthouse_ray.corpus import gen_corpus
 from lighthouse_ray.state import IncrementalIndex, SyncState
 
+from .oracle import exhaustive_topk
+
 CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_mod=10)
 
 
@@ -220,8 +222,6 @@ def test_search_after_pages_over_delta_chain(ray_session, tmp_path_factory):
     exhaustive merged live ranking — no gaps, no shadowed docs."""
     import ray.data as rd
 
-    from lighthouse_ray.query.wand import wand_topk
-
     root = str(tmp_path_factory.mktemp("incpage") / "root")
     ii = IncrementalIndex(root, CFG)
     ii.build_base(rd.from_arrow(gen_corpus(150)), CFG)
@@ -239,9 +239,9 @@ def test_search_after_pages_over_delta_chain(ray_session, tmp_path_factory):
     # global (score desc, doc_id asc) order
     want = []
     for rdr, mask in zip(ii.readers(), ii.live_map()):
-        hits = wand_topk(rdr, "content", terms, k=rdr.n_docs, live=mask)
+        hits = exhaustive_topk(rdr, "content", terms, k=rdr.n_docs)
         ids = rdr.docmeta()["doc_id"].to_numpy()
-        want.extend((ids[d], s) for d, s in hits)
+        want.extend((ids[d], s) for d, s in hits if mask[d])
     want.sort(key=lambda x: (-x[1], x[0]))
 
     got, cur = [], None
@@ -260,6 +260,41 @@ def test_search_after_pages_over_delta_chain(ray_session, tmp_path_factory):
         for ids in rdr.docmeta().loc[~np.asarray(mask), "doc_id"].tolist()
     ]
     assert not victim_ids.intersection(meta_victims)
+
+
+def test_apply_delta_keeps_open_readers(ray_session, tmp_path):
+    """A sync tick appends the new delta's reader and keeps the open
+    ones; a tombstone-only change keeps them all.  Reads equal those of
+    a freshly opened index over the same root."""
+    import ray.data as rd
+
+    root = str(tmp_path / "root")
+    ii = IncrementalIndex(root, CFG)
+    ii.build_base(rd.from_arrow(gen_corpus(150)), CFG)
+    terms = ["merge", "sorted", "import"]
+    ii.search_topk("content", terms, k=5)
+    base = ii.readers()[0]
+    _old5, upsert, new = _delta_rows()
+    ii.apply_delta(rd.from_arrow(pa.table(
+        {k: pa.array([upsert[k], new[k]], type=pa.string())
+         for k in ("repo", "path", "commit", "lang", "content")})))
+    assert ii.readers()[0] is base and len(ii.readers()) == 2
+    victim = gen_corpus(150).slice(9, 1).to_pylist()[0]
+    ii.apply_delta(None, tombstone_keys=[(victim["repo"], victim["path"])])
+    ii.apply_blocklist(channels=[gen_corpus(150).slice(3, 1).to_pylist()[0]["repo"]])
+    assert ii.readers()[0] is base and len(ii.readers()) == 2
+
+    fresh = IncrementalIndex(root)
+    for k in (3, 10, 40):
+        assert ii.search_topk("content", terms, k=k).equals(
+            fresh.search_topk("content", terms, k=k))
+    cur_a = cur_b = None
+    while True:
+        a, cur_a = ii.search_after("content", terms, size=7, after=cur_a)
+        b, cur_b = fresh.search_after("content", terms, size=7, after=cur_b)
+        assert a.equals(b) and cur_a == cur_b
+        if a.empty:
+            break
 
 
 def test_compaction_policy_triggers(ray_session, tmp_path_factory):
@@ -308,38 +343,6 @@ def test_compaction_policy_triggers(ray_session, tmp_path_factory):
     # compacted index serves exactly the delta-live docs
     hits = out.search_topk("content", ["fresh"], k=30)
     assert len(hits) == delta_live > 0
-
-
-def test_delete_by_query(ray_session, tmp_path):
-    """ES _delete_by_query analog: every live doc matching a bool.must
-    posting-list predicate is tombstoned; shadowed and non-matching
-    docs are untouched; idempotent on re-run."""
-    import ray.data as rd
-
-    root = str(tmp_path / "root")
-    ii = IncrementalIndex(root, CFG)
-    ii.build_base(rd.from_arrow(gen_corpus(120)), CFG)
-    new = {
-        "repo": "org9/new", "path": "src/q/qfile.py", "commit": "a" * 40,
-        "lang": "python",
-        "content": "def qmarker(): return 'zanzibar quorum token'",
-    }
-    new2 = dict(new, path="src/q/other.py",
-                content="zanzibar alone without the other word")
-    ii.apply_delta(rd.from_arrow(pa.table(
-        {k: pa.array([new[k], new2[k]], type=pa.string())
-         for k in ("repo", "path", "commit", "lang", "content")})))
-    assert len(ii.search_topk("content", ["zanzibar"], k=5)) == 2
-
-    # bool.must of both terms: only qfile matches
-    n = ii.delete_by_query("content", ["zanzibar", "quorum"])
-    assert n == 1
-    hits = ii.search_topk("content", ["zanzibar"], k=5)
-    assert hits["path"].tolist() == ["src/q/other.py"]
-    # idempotent: the matched doc is no longer live
-    assert ii.delete_by_query("content", ["zanzibar", "quorum"]) == 0
-    # absent term matches nothing
-    assert ii.delete_by_query("content", ["nonexistenttermxyz"]) == 0
 
 
 def _live_commit(repo, path, salt=0):

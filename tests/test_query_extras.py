@@ -14,6 +14,8 @@ from lighthouse_ray.analysis import tokenize_text
 from lighthouse_ray.config import IndexConfig
 from lighthouse_ray.corpus import gen_corpus
 
+from .oracle import exhaustive_topk
+
 CFG = IndexConfig(num_doc_parts=8, num_term_shards=16, salt_range=64, df_sample_mod=10)
 N_DOCS = 400
 
@@ -59,8 +61,6 @@ def ties(ray_session, tmp_path_factory):
 def _full_ranking(reader, doc_ids, terms):
     """Brute-force total ranking [(doc_id, score)] in
     (score desc, doc_id asc) order over all matching docs."""
-    from lighthouse_ray.query.wand import exhaustive_topk
-
     hits = exhaustive_topk(reader, "content", terms, k=reader.n_docs)
     ids = doc_ids[np.array([d for d, _ in hits], dtype=np.int64)]
     scores = np.array([s for _, s in hits], dtype=np.float64)
@@ -167,3 +167,35 @@ def test_rescore_phrase_vs_bruteforce(request, data, window, bonus):
         # outrank every non-phrase doc: proves the bonus actually landed
         flags = [s > 50.0 for _, s in got]
         assert flags == sorted(flags, reverse=True)
+
+
+def test_search_topk_ties_follow_doc_id(ties, tmp_path):
+    """Over a delta chain, ``search_topk`` cuts every segment and the
+    merge in one (score desc, doc_id asc) order: each k equals the
+    brute-force live ranking, even where every base doc ties."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lighthouse_ray.state import IncrementalIndex
+
+    _reader, _doc_ids, corpus = ties
+    ii = IncrementalIndex(str(tmp_path / "root"), CFG)
+    ii.build_base(rd.from_arrow(corpus), CFG)
+    rows = corpus.slice(0, 6).to_pylist()
+    for j, r in enumerate(rows):  # three upserts, three new docs
+        r["commit"] = "f" * 40
+        if j >= 3:
+            r["path"] = f"{r['path']}.new"
+    ii.apply_delta(rd.from_arrow(pa.Table.from_pylist(rows, schema=corpus.schema)))
+
+    terms = tokenize_text("merge sorted runs")
+    want = []
+    for rdr, mask in zip(ii.readers(), ii.live_map()):
+        ids = rdr.docmeta()["doc_id"].to_numpy()
+        want.extend((ids[d], s) for d, s in exhaustive_topk(rdr, "content", terms, rdr.n_docs)
+                    if mask[d])
+    want.sort(key=lambda x: (-x[1], x[0]))
+    for k in (1, 5, 37):
+        got = ii.search_topk("content", terms, k=k)
+        assert got["doc_id"].tolist() == [d for d, _ in want[:k]], k
+        np.testing.assert_allclose(got["score"], [s for _, s in want[:k]], rtol=1e-12)

@@ -118,6 +118,20 @@ def test_range_reader_scores_are_global(built):
     assert np.allclose(merged["score_f"], merged["score_p"], rtol=0, atol=0)
 
 
+def test_range_reader_slice_cache_bounded(built):
+    """A long-lived range replica's slice cache stays at the base
+    cache's cap, and a repeated lookup is served from it."""
+    from lighthouse_ray.index import IndexReader, RangeReader
+
+    idx, engine = built
+    rr = RangeReader(IndexReader(idx), 0, engine.r.n_docs // 2)
+    for i in range(70_000):
+        rr.lookup("content", f"absentterm{i}")
+    assert len(rr._slice_cache) <= 65_536
+    hit = rr.lookup("content", "merge")
+    assert hit is not None and rr.lookup("content", "merge") is hit
+
+
 def test_hedged_straggler_parity_and_latency(built):
     """On a 3 × 2 grid one range replica of row 0 is a synthetic 3 s
     straggler; the row-1 replica of its range answers instead — results

@@ -25,11 +25,16 @@ def built(ray_session, tmp_path_factory):
 
 
 def _results(idx):
+    import numpy as np
+
     from lighthouse_ray.index import IndexReader
-    from lighthouse_ray.query.wand import wand_topk
+    from lighthouse_ray.query.pagination import topk_page
 
     r = IndexReader(idx)
-    return wand_topk(r, "content", ["merge", "sorted", "import"], k=20)
+    ords, _ids, scores = topk_page(
+        r, "content", ["merge", "sorted", "import"], 20, doc_ids=np.arange(r.n_docs)
+    )
+    return list(zip(ords.tolist(), scores.tolist()))
 
 
 def test_snapshot_restore_roundtrip(built):
